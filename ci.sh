@@ -45,8 +45,8 @@ cargo build --release
 echo "==> release build (serial: --no-default-features)"
 cargo build --release --no-default-features
 
-echo "==> test suite"
-cargo test -q
+echo "==> test suite (every workspace member: unit tests, crates/*/tests, root tests)"
+cargo test -q --workspace
 
 echo "==> test suite (validate + failpoints: engine audits and fault injection)"
 # Also re-runs the HNSW recall-vs-exact parity and determinism suite

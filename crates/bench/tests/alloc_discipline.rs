@@ -16,7 +16,7 @@ use cirstag_graph::Graph;
 use cirstag_linalg::{par, DenseMatrix};
 use cirstag_solver::{
     conjugate_gradient_block_into, conjugate_gradient_into, CgOptions, CgStats, CsrOperator,
-    IdentityPreconditioner, SolverWorkspace,
+    IdentityPreconditioner, Preconditioner, SolverWorkspace, TreePreconditioner,
 };
 
 struct CountingAllocator;
@@ -63,6 +63,65 @@ fn grid(side: usize) -> Graph {
     Graph::from_edges(n, &edges).expect("grid builds")
 }
 
+/// Warms `ws` with one scalar CG solve, then asserts that re-running it
+/// performs no heap allocation.
+fn assert_warm_scalar_cg_is_allocation_free<M: Preconditioner>(
+    label: &str,
+    op: &CsrOperator<'_>,
+    b: &[f64],
+    pre: &M,
+    options: CgOptions,
+    ws: &mut SolverWorkspace,
+) {
+    let mut x = vec![0.0; b.len()];
+    let warm = conjugate_gradient_into(op, b, pre, options, &mut x, ws).expect("warm cg");
+    assert!(warm.converged, "{label}: warm-up solve must converge");
+    let misses = ws.misses();
+    let before = allocations();
+    let stats = conjugate_gradient_into(op, b, pre, options, &mut x, ws).expect("hot cg");
+    let after = allocations();
+    assert!(stats.converged);
+    assert_eq!(ws.misses(), misses, "{label}: warm workspace must not miss");
+    assert_eq!(
+        after - before,
+        0,
+        "{label}: warm conjugate_gradient_into allocated {} times",
+        after - before
+    );
+}
+
+/// Warms `ws` with one block CG solve, then asserts that re-running it
+/// performs no heap allocation.
+fn assert_warm_block_cg_is_allocation_free<M: Preconditioner>(
+    label: &str,
+    op: &CsrOperator<'_>,
+    panel_b: &DenseMatrix,
+    pre: &M,
+    options: CgOptions,
+    ws: &mut SolverWorkspace,
+) {
+    let k = panel_b.ncols();
+    let mut panel_x = DenseMatrix::zeros(panel_b.nrows(), k);
+    let mut stats: Vec<CgStats> = Vec::with_capacity(k);
+    conjugate_gradient_block_into(op, panel_b, pre, options, &mut panel_x, &mut stats, ws)
+        .expect("warm block cg");
+    assert!(stats.iter().all(|s| s.converged), "{label}: warm-up solve");
+    let misses = ws.misses();
+    stats.clear();
+    let before = allocations();
+    conjugate_gradient_block_into(op, panel_b, pre, options, &mut panel_x, &mut stats, ws)
+        .expect("hot block cg");
+    let after = allocations();
+    assert!(stats.iter().all(|s| s.converged));
+    assert_eq!(ws.misses(), misses, "{label}: warm workspace must not miss");
+    assert_eq!(
+        after - before,
+        0,
+        "{label}: warm conjugate_gradient_block_into allocated {} times",
+        after - before
+    );
+}
+
 #[test]
 fn warm_solver_iterations_are_allocation_free() {
     // Serial execution: thread-pool dispatch owns its own queue allocations,
@@ -80,69 +139,24 @@ fn warm_solver_iterations_are_allocation_free() {
     };
     let mut ws = SolverWorkspace::new();
 
-    // ---- scalar CG: conjugate_gradient_into -------------------------------
+    // ---- scalar and block CG, plain and tree-preconditioned ----------------
+    // The scalar CG loop applies its preconditioner as a one-column panel on
+    // every iteration, so the tree preconditioner's single-column route must
+    // not touch the heap either.
     let mut b = vec![0.0; n];
     b[0] = 1.0;
     b[n - 1] = -1.0;
-    let mut x = vec![0.0; n];
-    // Warm the pool, then assert the steady-state resolve allocates nothing.
-    let warm = conjugate_gradient_into(&op, &b, &pre, options, &mut x, &mut ws).expect("warm cg");
-    assert!(warm.converged, "warm-up solve must converge");
-    let misses = ws.misses();
-    let before = allocations();
-    let stats = conjugate_gradient_into(&op, &b, &pre, options, &mut x, &mut ws).expect("hot cg");
-    let after = allocations();
-    assert!(stats.converged);
-    assert_eq!(ws.misses(), misses, "warm workspace must not miss");
-    assert_eq!(
-        after - before,
-        0,
-        "warm conjugate_gradient_into allocated {} times",
-        after - before
-    );
-
-    // ---- block CG: conjugate_gradient_block_into --------------------------
     let k = 8;
     let mut panel_b = DenseMatrix::zeros(n, k);
     for j in 0..k {
         panel_b.set(j, j, 1.0);
         panel_b.set(n - 1 - j, j, -1.0);
     }
-    let mut panel_x = DenseMatrix::zeros(n, k);
-    let mut stats: Vec<CgStats> = Vec::with_capacity(k);
-    conjugate_gradient_block_into(
-        &op,
-        &panel_b,
-        &pre,
-        options,
-        &mut panel_x,
-        &mut stats,
-        &mut ws,
-    )
-    .expect("warm block cg");
-    assert!(stats.iter().all(|s| s.converged));
-    let misses = ws.misses();
-    stats.clear();
-    let before = allocations();
-    conjugate_gradient_block_into(
-        &op,
-        &panel_b,
-        &pre,
-        options,
-        &mut panel_x,
-        &mut stats,
-        &mut ws,
-    )
-    .expect("hot block cg");
-    let after = allocations();
-    assert!(stats.iter().all(|s| s.converged));
-    assert_eq!(ws.misses(), misses, "warm workspace must not miss");
-    assert_eq!(
-        after - before,
-        0,
-        "warm conjugate_gradient_block_into allocated {} times",
-        after - before
-    );
+    let tree = TreePreconditioner::new(&g, 3).expect("tree preconditioner");
+    assert_warm_scalar_cg_is_allocation_free("identity", &op, &b, &pre, options, &mut ws);
+    assert_warm_block_cg_is_allocation_free("identity", &op, &panel_b, &pre, options, &mut ws);
+    assert_warm_scalar_cg_is_allocation_free("tree", &op, &b, &tree, options, &mut ws);
+    assert_warm_block_cg_is_allocation_free("tree", &op, &panel_b, &tree, options, &mut ws);
 
     // ---- HNSW search: HnswIndex::knn_into ---------------------------------
     // One warm pass over every query grows the scratch arena (visited marks,

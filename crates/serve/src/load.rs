@@ -6,9 +6,9 @@
 //! bench harness: **every** request is answered with a typed response —
 //! served, shed, or timed out — and no connection is dropped.
 
-use crate::protocol::{Request, Response, Verb, CODE_DEADLINE, CODE_OK, CODE_SHED};
+use crate::protocol::{write_line, Request, Response, Verb, CODE_DEADLINE, CODE_OK, CODE_SHED};
 use crate::ServeError;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -117,7 +117,16 @@ fn connect_with_retry(addr: &str) -> Result<TcpStream, ServeError> {
     let mut last = String::new();
     for _ in 0..40 {
         match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
+            Ok(s) => {
+                // Every request leaves in one write (`write_line`), so
+                // Nagle's algorithm has nothing to coalesce. Left on, it
+                // can still hold back the last partial segment of a request
+                // longer than one TCP segment until the daemon acknowledges
+                // the rest. Best effort: a socket that refuses the option
+                // still works, only slower.
+                drop(s.set_nodelay(true));
+                return Ok(s);
+            }
             Err(e) => {
                 last = e.to_string();
                 std::thread::sleep(Duration::from_millis(50));
@@ -175,11 +184,7 @@ fn run_client(cfg: &LoadConfig, client: usize, count: usize) -> ClientOutcome {
         outcome.sent += 1;
         // cirstag-lint: allow(nondeterminism) -- load-generator latency measurement; client-side diagnostics only
         let t0 = Instant::now();
-        let wrote = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if wrote.is_err() {
+        if write_line(&mut writer, line).is_err() {
             outcome.transport_errors += 1;
             continue;
         }
@@ -296,11 +301,7 @@ pub fn shutdown_daemon(addr: &str) -> Result<(), ServeError> {
         delta: None,
         partitions: None,
     };
-    let line = request.to_line()?;
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
+    write_line(&mut writer, request.to_line()?)
         .map_err(|e| ServeError::io(format!("send shutdown to {addr}: {e}")))?;
     let mut reply = String::new();
     drop(BufReader::new(read_half).read_line(&mut reply));

@@ -21,6 +21,7 @@
 
 use crate::ServeError;
 use serde::{Serialize, Value};
+use std::io::Write;
 
 /// HTTP-style status code: request served.
 pub const CODE_OK: u16 = 200;
@@ -325,6 +326,26 @@ fn value_to_line(v: Value) -> Result<String, ServeError> {
     serde_json::to_string(&Raw(v)).map_err(|e| ServeError::bad_request(e.to_string()))
 }
 
+/// Sends one wire line: appends the newline to `line` and hands both to
+/// `w` in a single `write_all`, then flushes.
+///
+/// Writing the line and its `\n` separately stalls a request by a delayed
+/// ACK: a line longer than `BufWriter`'s 8 KiB buffer (every `analyze`
+/// request carries its netlist) bypasses the buffer, and Nagle's algorithm
+/// then holds the lone `\n` until the peer acknowledges the line. With that
+/// framing, `cirstag load` (one client, 100 requests, a 972-pin netlist,
+/// 2-core host) measured a warm `analyze` p50 of 44 ms; with one write,
+/// 2.3–2.5 ms.
+///
+/// # Errors
+///
+/// Any I/O error of the write or the flush.
+pub(crate) fn write_line<W: Write>(w: &mut W, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,5 +445,40 @@ mod tests {
         assert_eq!(internal.status, "error");
         let back = Response::parse(&shed.to_line().unwrap()).unwrap();
         assert_eq!(back.error.as_deref(), Some("queue full"));
+    }
+
+    /// A `Write` that records how many `write` calls reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_frames_each_line_in_one_write() {
+        // Short lines are buffered, long ones bypass `BufWriter`'s 8 KiB
+        // buffer; either way the line and its newline leave in one write.
+        for len in [10usize, 8 * 1024 - 1, 8 * 1024, 40 * 1024] {
+            let line = "x".repeat(len);
+            let mut w = std::io::BufWriter::new(CountingWriter::default());
+            write_line(&mut w, line.clone()).unwrap();
+            let inner = w.into_inner().map_err(|e| e.to_string()).unwrap();
+            assert_eq!(inner.writes, 1, "line of {len} bytes");
+            assert_eq!(inner.bytes.len(), len + 1);
+            assert_eq!(inner.bytes.last(), Some(&b'\n'));
+            assert_eq!(&inner.bytes[..len], line.as_bytes());
+        }
     }
 }

@@ -31,7 +31,7 @@
 use crate::admission::{AdmissionQueue, Admit, OverloadGate, ServerStats};
 use crate::design::{DesignStore, PreparedDesign};
 use crate::protocol::{
-    Request, Response, Verb, CODE_BAD_REQUEST, CODE_DEADLINE, CODE_INTERNAL, CODE_SHED,
+    write_line, Request, Response, Verb, CODE_BAD_REQUEST, CODE_DEADLINE, CODE_INTERNAL, CODE_SHED,
 };
 use crate::ServeError;
 use cirstag::failpoint as fail;
@@ -358,11 +358,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             let mut w = BufWriter::new(stream);
             for resp in rx {
                 let Ok(line) = resp.to_line() else { continue };
-                let sent = w
-                    .write_all(line.as_bytes())
-                    .and_then(|()| w.write_all(b"\n"))
-                    .and_then(|()| w.flush());
-                if sent.is_err() {
+                if write_line(&mut w, line).is_err() {
                     break; // client went away; drop remaining responses
                 }
             }
@@ -966,8 +962,7 @@ mod tests {
         let mut writer = BufWriter::new(stream.try_clone().unwrap());
         let mut reader = BufReader::new(stream);
         let mut exchange = |line: &str| -> Response {
-            writeln!(writer, "{line}").unwrap();
-            writer.flush().unwrap();
+            write_line(&mut writer, line.to_string()).unwrap();
             let mut reply = String::new();
             reader.read_line(&mut reply).unwrap();
             Response::parse(reply.trim_end()).unwrap()
@@ -1004,8 +999,7 @@ mod tests {
         let mut writer = BufWriter::new(stream.try_clone().unwrap());
         let mut reader = BufReader::new(stream);
         let mut exchange = |line: &str| -> Response {
-            writeln!(writer, "{line}").unwrap();
-            writer.flush().unwrap();
+            write_line(&mut writer, line.to_string()).unwrap();
             let mut reply = String::new();
             reader.read_line(&mut reply).unwrap();
             Response::parse(reply.trim_end()).unwrap()

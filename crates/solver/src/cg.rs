@@ -19,12 +19,23 @@ pub trait Preconditioner {
     /// Computes `z ← M⁻¹ r` column-wise over row-major `ncols`-wide panels
     /// (`r[i * ncols + j]` is entry `(i, j)`).
     ///
-    /// The provided implementation gathers each column into workspace
-    /// scratch and delegates to [`Preconditioner::apply`]; implementations
-    /// with structure to exploit (diagonal scaling, tree sweeps) override it
-    /// with a fused panel kernel. Column `j` of the result must be
-    /// bit-identical to `apply` on column `j` alone — the block solver's
-    /// equivalence to per-vector CG rests on that contract.
+    /// The provided implementation sends a single column straight to
+    /// [`Preconditioner::apply`] and otherwise gathers each column into
+    /// workspace scratch and delegates to `apply`; implementations with
+    /// structure to exploit (diagonal scaling, tree sweeps) override it with
+    /// a fused panel kernel. Column `j` of the result must be bit-identical
+    /// to `apply` on column `j` alone — the block solver's equivalence to
+    /// per-vector CG rests on that contract.
+    ///
+    /// An override must keep the single-column shortcut. The scalar CG loop
+    /// applies its preconditioner through this method with `ncols == 1` on
+    /// every iteration, so that case must run a scalar kernel (`apply`, or
+    /// an allocation-free equivalent drawing its scratch from `ws`), never
+    /// the panel kernel. A `k`-wide sweep over one-element rows pays its
+    /// per-row slicing and scratch set-up on every entry: on a 3,828-node
+    /// Laplacian the tree preconditioner's panel sweep at `k = 1` took about
+    /// four times as long as its scalar sweep, which made tree-preconditioned
+    /// CG iterations nearly twice as slow.
     ///
     /// # Errors
     ///
@@ -168,6 +179,9 @@ impl Preconditioner for JacobiPreconditioner {
         ncols: usize,
         _ws: &mut SolverWorkspace,
     ) -> Result<(), SolverError> {
+        if ncols == 1 {
+            return self.apply(r, z);
+        }
         let n = self.inv_diag.len();
         if r.len() != n * ncols || z.len() != n * ncols {
             return Err(SolverError::DimensionMismatch {

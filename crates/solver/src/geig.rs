@@ -375,6 +375,7 @@ pub fn generalized_eigen_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CgOptions;
     use cirstag_graph::Graph;
 
     /// Dense reference eigenvalues via the public dense fallback solver.
@@ -404,41 +405,46 @@ mod tests {
     fn workspace_form_is_bit_identical_and_reuses_buffers() {
         let gx = cycle_graph(12, 2.0);
         let gy = cycle_graph(12, 1.0);
-        let solver = LaplacianSolver::new(&gy).unwrap();
         let lx = gx.laplacian();
+        // The Jacobi default, and the tree-preconditioned solver Phase 3
+        // uses, whose CG applies the tree sweep one column at a time.
+        for solver in [
+            LaplacianSolver::new(&gy).unwrap(),
+            LaplacianSolver::with_tree_preconditioner(&gy, CgOptions::default()).unwrap(),
+        ] {
+            let plain = generalized_lanczos(&lx, &solver, 3, 40, 9).unwrap();
 
-        let plain = generalized_lanczos(&lx, &solver, 3, 40, 9).unwrap();
+            let mut ws = SolverWorkspace::new();
+            let pooled = generalized_lanczos_ws(&lx, &solver, 3, 40, 9, &mut ws).unwrap();
 
-        let mut ws = SolverWorkspace::new();
-        let pooled = generalized_lanczos_ws(&lx, &solver, 3, 40, 9, &mut ws).unwrap();
+            assert_eq!(plain.eigenvalues.len(), pooled.eigenvalues.len());
+            for (a, b) in plain.eigenvalues.iter().zip(&pooled.eigenvalues) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "eigenvalues must be bitwise equal"
+                );
+            }
+            for (a, b) in plain
+                .eigenvectors
+                .as_slice()
+                .iter()
+                .zip(pooled.eigenvectors.as_slice())
+            {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "eigenvectors must be bitwise equal"
+                );
+            }
 
-        assert_eq!(plain.eigenvalues.len(), pooled.eigenvalues.len());
-        for (a, b) in plain.eigenvalues.iter().zip(&pooled.eigenvalues) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "eigenvalues must be bitwise equal"
-            );
-        }
-        for (a, b) in plain
-            .eigenvectors
-            .as_slice()
-            .iter()
-            .zip(pooled.eigenvectors.as_slice())
-        {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "eigenvectors must be bitwise equal"
-            );
-        }
-
-        // A warmed workspace must not allocate on a repeat run.
-        let misses = ws.misses();
-        let again = generalized_lanczos_ws(&lx, &solver, 3, 40, 9, &mut ws).unwrap();
-        assert_eq!(ws.misses(), misses, "warm rerun must not allocate");
-        for (a, b) in pooled.eigenvalues.iter().zip(&again.eigenvalues) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            // A warmed workspace must not allocate on a repeat run.
+            let misses = ws.misses();
+            let again = generalized_lanczos_ws(&lx, &solver, 3, 40, 9, &mut ws).unwrap();
+            assert_eq!(ws.misses(), misses, "warm rerun must not allocate");
+            for (a, b) in pooled.eigenvalues.iter().zip(&again.eigenvalues) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

@@ -3,7 +3,6 @@
 use crate::workspace::SolverWorkspace;
 use crate::{Preconditioner, SolverError};
 use cirstag_graph::{low_stretch_tree, Graph};
-use cirstag_linalg::vecops;
 
 /// A support-graph preconditioner `M = L_T⁺` where `T` is a low-stretch
 /// spanning tree of the graph (Vaidya-style).
@@ -35,15 +34,22 @@ use cirstag_linalg::vecops;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TreePreconditioner {
-    /// parent[v] — tree parent (root points to itself).
-    parent: Vec<usize>,
-    /// Weight of the edge to the parent (roots: 0).
-    parent_weight: Vec<f64>,
-    /// Nodes in BFS order from the roots (parents precede children).
-    order: Vec<usize>,
+    /// Every node with its tree parent and the weight of the edge to it, in
+    /// BFS order from the roots (parents precede children; a root is its
+    /// own parent, with weight 0). The sweeps stream this array in order.
+    order: Vec<TreeStep>,
     /// Component index per node (forests solve per component).
     component: Vec<usize>,
-    num_components: usize,
+    /// Node count per component, as the divisor of the per-component mean.
+    component_len: Vec<f64>,
+}
+
+/// One node of the BFS order with its tree parent.
+#[derive(Debug, Clone, Copy)]
+struct TreeStep {
+    node: usize,
+    parent: usize,
+    weight: f64,
 }
 
 impl TreePreconditioner {
@@ -60,11 +66,9 @@ impl TreePreconditioner {
     /// Builds the preconditioner from an explicit tree/forest graph.
     pub fn from_tree_graph(tree: &Graph) -> Self {
         let n = tree.num_nodes();
-        let mut parent = vec![usize::MAX; n];
-        let mut parent_weight = vec![0.0f64; n];
         let mut order = Vec::with_capacity(n);
         let mut component = vec![0usize; n];
-        let mut num_components = 0usize;
+        let mut component_len = Vec::new();
         let mut seen = vec![false; n];
         let mut queue = std::collections::VecDeque::new();
         for s in 0..n {
@@ -72,82 +76,109 @@ impl TreePreconditioner {
                 continue;
             }
             seen[s] = true;
-            parent[s] = s;
-            queue.push_back(s);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                component[u] = num_components;
+            queue.push_back(TreeStep {
+                node: s,
+                parent: s,
+                weight: 0.0,
+            });
+            let first = order.len();
+            while let Some(step) = queue.pop_front() {
+                let u = step.node;
+                order.push(step);
+                component[u] = component_len.len();
                 for (v, w) in tree.neighbors(u) {
                     if !seen[v] {
                         seen[v] = true;
-                        parent[v] = u;
-                        parent_weight[v] = w;
-                        queue.push_back(v);
+                        queue.push_back(TreeStep {
+                            node: v,
+                            parent: u,
+                            weight: w,
+                        });
                     }
                 }
             }
-            num_components += 1;
+            component_len.push((order.len() - first) as f64);
         }
         TreePreconditioner {
-            parent,
-            parent_weight,
             order,
             component,
-            num_components,
+            component_len,
+        }
+    }
+
+    /// Length of the scratch [`TreePreconditioner::tree_solve`] needs: one
+    /// sum per component on a forest, nothing on a tree.
+    fn forest_scratch_len(&self) -> usize {
+        match self.component_len.len() {
+            1 => 0,
+            nc => nc,
         }
     }
 
     /// Projects each component of `x` to mean zero (the forest Laplacian's
-    /// nullspace is spanned by per-component indicators).
-    fn center_per_component(&self, x: &mut [f64]) {
-        if self.num_components <= 1 {
-            vecops::center(x);
+    /// nullspace is spanned by per-component indicators). `sums` holds
+    /// [`TreePreconditioner::forest_scratch_len`] entries.
+    fn center_per_component(&self, x: &mut [f64], sums: &mut [f64]) {
+        if self.component_len.len() <= 1 {
+            let mut sum = 0.0;
+            for &v in x.iter() {
+                sum += v;
+            }
+            let mean = sum / x.len() as f64;
+            for v in x.iter_mut() {
+                *v -= mean;
+            }
             return;
         }
-        let mut sums = vec![0.0f64; self.num_components];
-        let mut counts = vec![0usize; self.num_components];
-        for (v, &c) in self.component.iter().enumerate() {
-            sums[c] += x[v];
-            counts[c] += 1;
+        sums.fill(0.0);
+        for (&c, &v) in self.component.iter().zip(x.iter()) {
+            sums[c] += v;
         }
-        for (v, &c) in self.component.iter().enumerate() {
-            x[v] -= sums[c] / counts[c].max(1) as f64;
+        for (v, &c) in x.iter_mut().zip(&self.component) {
+            *v -= sums[c] / self.component_len[c];
         }
     }
 
     /// Dimension of the preconditioner.
     pub fn dim(&self) -> usize {
-        self.parent.len()
+        self.component.len()
     }
 
-    /// Exact solve `L_T z = r` (both projected to mean zero).
+    /// Exact solve `L_T z = r` (both projected to mean zero), in place in
+    /// `z` with `sums` ([`TreePreconditioner::forest_scratch_len`] entries)
+    /// as the only scratch.
     ///
     /// Kirchhoff on a tree: the current through the edge `(v, parent)` equals
     /// the total injection inside `v`'s subtree, so
-    /// `z_v = z_parent + subtree_sum(v) / w(v, parent)`.
-    fn tree_solve(&self, r: &[f64], z: &mut [f64]) {
-        let n = r.len();
-        // Up-sweep: per-node subtree sums of the centered rhs.
-        let mut acc = r.to_vec();
-        self.center_per_component(&mut acc);
-        let mut subtree = vec![0.0f64; n];
-        for &v in self.order.iter().rev() {
-            subtree[v] = acc[v];
-            let p = self.parent[v];
-            if p != v {
-                acc[p] += acc[v];
+    /// `z_v = z_parent + subtree_sum(v) / w(v, parent)`. The up-sweep visits
+    /// children before parents, so `z[v]` holds `v`'s final subtree sum when
+    /// the sweep reaches `v` and is never added to again; the down-sweep
+    /// visits parents first and overwrites it with the potential. One buffer
+    /// thus carries the right-hand side, the subtree sums and the solution.
+    fn tree_solve(&self, r: &[f64], z: &mut [f64], sums: &mut [f64]) {
+        z.copy_from_slice(r);
+        self.center_per_component(z, sums);
+        // Up-sweep: subtree sums of the centered rhs.
+        for step in self.order.iter().rev() {
+            let TreeStep { node, parent, .. } = *step;
+            if parent != node {
+                z[parent] += z[node];
             }
         }
         // Down-sweep: potentials relative to each root, then re-center.
-        for &v in &self.order {
-            let p = self.parent[v];
-            z[v] = if p == v {
+        for step in &self.order {
+            let TreeStep {
+                node,
+                parent,
+                weight,
+            } = *step;
+            z[node] = if parent == node {
                 0.0
             } else {
-                z[p] + subtree[v] / self.parent_weight[v]
+                z[parent] + z[node] / weight
             };
         }
-        self.center_per_component(z);
+        self.center_per_component(z, sums);
     }
 
     /// Panel form of [`TreePreconditioner::center_per_component`]: projects
@@ -159,7 +190,7 @@ impl TreePreconditioner {
         if n == 0 {
             return;
         }
-        if self.num_components <= 1 {
+        if self.component_len.len() <= 1 {
             let mut sums = ws.take(k);
             for row in x.chunks_exact(k) {
                 for (s, &v) in sums.iter_mut().zip(row) {
@@ -177,62 +208,53 @@ impl TreePreconditioner {
             ws.put(sums);
             return;
         }
-        let nc = self.num_components;
-        let mut sums = ws.take(nc * k);
-        let mut counts = ws.take(nc);
+        let mut sums = ws.take(self.component_len.len() * k);
         for (v, &c) in self.component.iter().enumerate() {
-            // f64 counts stay exact for any realistic node count and match
-            // the vector form's `counts[c].max(1) as f64` bitwise.
-            counts[c] += 1.0;
             for (s, &val) in sums[c * k..c * k + k].iter_mut().zip(&x[v * k..v * k + k]) {
                 *s += val;
             }
         }
         for (v, &c) in self.component.iter().enumerate() {
-            let denom = counts[c].max(1.0);
+            let len = self.component_len[c];
             for (xv, &s) in x[v * k..v * k + k].iter_mut().zip(&sums[c * k..c * k + k]) {
-                *xv -= s / denom;
+                *xv -= s / len;
             }
         }
-        ws.put(counts);
         ws.put(sums);
     }
 
     /// Panel form of [`TreePreconditioner::tree_solve`]: one up-sweep and
-    /// one down-sweep advance all `k` columns together, with scratch drawn
-    /// from the workspace so steady-state applications never allocate.
-    /// Column `j` performs the exact operation sequence of `tree_solve` on
-    /// column `j` alone.
+    /// one down-sweep advance all `k` columns together, in place in `z`, with
+    /// the centering scratch drawn from the workspace so steady-state
+    /// applications never allocate. Column `j` performs the exact operation
+    /// sequence of `tree_solve` on column `j` alone.
     fn tree_solve_panel(&self, r: &[f64], z: &mut [f64], k: usize, ws: &mut SolverWorkspace) {
-        let n = self.dim();
-        let mut acc = ws.take(n * k);
-        acc.copy_from_slice(r);
-        self.center_per_component_panel(&mut acc, k, ws);
-        let mut subtree = ws.take(n * k);
-        for &v in self.order.iter().rev() {
-            let p = self.parent[v];
-            subtree[v * k..v * k + k].copy_from_slice(&acc[v * k..v * k + k]);
-            if p != v {
+        z.copy_from_slice(r);
+        self.center_per_component_panel(z, k, ws);
+        for step in self.order.iter().rev() {
+            let TreeStep { node, parent, .. } = *step;
+            if parent != node {
                 for j in 0..k {
-                    let av = acc[v * k + j];
-                    acc[p * k + j] += av;
+                    let zv = z[node * k + j];
+                    z[parent * k + j] += zv;
                 }
             }
         }
-        for &v in &self.order {
-            let p = self.parent[v];
-            if p == v {
-                z[v * k..v * k + k].fill(0.0);
+        for step in &self.order {
+            let TreeStep {
+                node,
+                parent,
+                weight,
+            } = *step;
+            if parent == node {
+                z[node * k..node * k + k].fill(0.0);
             } else {
-                let w = self.parent_weight[v];
                 for j in 0..k {
-                    z[v * k + j] = z[p * k + j] + subtree[v * k + j] / w;
+                    z[node * k + j] = z[parent * k + j] + z[node * k + j] / weight;
                 }
             }
         }
         self.center_per_component_panel(z, k, ws);
-        ws.put(subtree);
-        ws.put(acc);
     }
 }
 
@@ -244,10 +266,15 @@ impl Preconditioner for TreePreconditioner {
                 actual: r.len().max(z.len()),
             });
         }
-        self.tree_solve(r, z);
+        // Empty, so no allocation, on a connected tree.
+        let mut sums = vec![0.0; self.forest_scratch_len()];
+        self.tree_solve(r, z, &mut sums);
         Ok(())
     }
 
+    /// A single column (every call of the scalar CG loop) takes the scalar
+    /// sweep with its scratch from `ws`; wider panels take the fused panel
+    /// sweep.
     fn apply_panel(
         &self,
         r: &[f64],
@@ -261,10 +288,15 @@ impl Preconditioner for TreePreconditioner {
                 actual: r.len().max(z.len()),
             });
         }
-        if ncols == 0 {
-            return Ok(());
+        match ncols {
+            0 => {}
+            1 => {
+                let mut sums = ws.take(self.forest_scratch_len());
+                self.tree_solve(r, z, &mut sums);
+                ws.put(sums);
+            }
+            k => self.tree_solve_panel(r, z, k, ws),
         }
-        self.tree_solve_panel(r, z, ncols, ws);
         Ok(())
     }
 }
@@ -410,35 +442,38 @@ mod tests {
         )
         .unwrap();
         let forest = Graph::from_edges(5, &[(0, 1, 2.0), (1, 2, 1.0), (3, 4, 4.0)]).unwrap();
+        // k = 1 is the scalar CG loop's single-column route, k = 2 the
+        // narrowest fused panel, k = 32 a full resistance-probe panel.
         for (g, n) in [
             (TreePreconditioner::new(&connected, 7).unwrap(), 6),
             (TreePreconditioner::from_tree_graph(&forest), 5),
         ] {
-            let k = 3usize;
-            let mut panel = vec![0.0; n * k];
-            for (idx, v) in panel.iter_mut().enumerate() {
-                *v = ((idx * 37 + 11) % 19) as f64 - 9.0;
-            }
-            let mut ws = SolverWorkspace::new();
-            let mut z_panel = vec![0.0; n * k];
-            g.apply_panel(&panel, &mut z_panel, k, &mut ws).unwrap();
-            for j in 0..k {
-                let col: Vec<f64> = (0..n).map(|i| panel[i * k + j]).collect();
-                let mut z_col = vec![0.0; n];
-                g.apply(&col, &mut z_col).unwrap();
-                for i in 0..n {
-                    assert!(
-                        z_panel[i * k + j].to_bits() == z_col[i].to_bits(),
-                        "column {j}, row {i}: {} vs {}",
-                        z_panel[i * k + j],
-                        z_col[i]
-                    );
+            for k in [1usize, 2, 32] {
+                let mut panel = vec![0.0; n * k];
+                for (idx, v) in panel.iter_mut().enumerate() {
+                    *v = ((idx * 37 + 11) % 19) as f64 - 9.0;
                 }
+                let mut ws = SolverWorkspace::new();
+                let mut z_panel = vec![0.0; n * k];
+                g.apply_panel(&panel, &mut z_panel, k, &mut ws).unwrap();
+                for j in 0..k {
+                    let col: Vec<f64> = (0..n).map(|i| panel[i * k + j]).collect();
+                    let mut z_col = vec![0.0; n];
+                    g.apply(&col, &mut z_col).unwrap();
+                    for i in 0..n {
+                        assert!(
+                            z_panel[i * k + j].to_bits() == z_col[i].to_bits(),
+                            "k = {k}, column {j}, row {i}: {} vs {}",
+                            z_panel[i * k + j],
+                            z_col[i]
+                        );
+                    }
+                }
+                // A warmed workspace must not allocate again.
+                let misses = ws.misses();
+                g.apply_panel(&panel, &mut z_panel, k, &mut ws).unwrap();
+                assert_eq!(ws.misses(), misses, "k = {k}");
             }
-            // A warmed workspace must not allocate again.
-            let misses = ws.misses();
-            g.apply_panel(&panel, &mut z_panel, k, &mut ws).unwrap();
-            assert_eq!(ws.misses(), misses);
         }
     }
 

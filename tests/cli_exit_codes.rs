@@ -2,6 +2,16 @@
 //! best-effort run, `1` (an `Err` from `run`/`parse_args`) for hard errors.
 
 use cirstag_cli::{exit_code, parse_args, run, Command, KnnChoice, RunStatus};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The failpoint registry is process-global, and the test harness runs
+/// tests on parallel threads. The test that arms a failpoint and every test
+/// whose analysis must not meet one hold this lock, so an armed
+/// `solver/geig` cannot fail a clean run.
+fn failpoint_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cirstag_exit_codes_{name}"));
@@ -77,6 +87,7 @@ fn status_to_exit_code_mapping() {
 
 #[test]
 fn clean_analyze_run_is_clean() {
+    let _serial = failpoint_lock();
     let dir = temp_dir("clean");
     let netlist = generate(&dir);
     let status = run_silent(&analyze_cmd(netlist, false)).unwrap();
@@ -126,6 +137,7 @@ fn invalid_partition_counts_are_hard_errors() {
 fn degraded_best_effort_run_exits_two() {
     use cirstag_suite::core::failpoint as fp;
 
+    let _serial = failpoint_lock();
     let dir = temp_dir("degraded");
     let netlist = generate(&dir);
 
