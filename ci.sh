@@ -53,6 +53,12 @@ echo "==> test suite (validate + failpoints: engine audits and fault injection)"
 # (tests/knn_hnsw.rs) with the engine's self-audits enabled.
 cargo test -q --features validate,failpoints
 
+echo "==> benchmark package (perfbench builds against the public API and passes its tests)"
+# perfbench is a package of its own outside the workspace, so neither the
+# clippy run nor the workspace tests above compile it; without this step a
+# public-API break would first show up when the benchmark is run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> simd feature (AVX2 kernels: clippy clean, bit-identical to scalar)"
 # The only unsafe code in the workspace lives behind this off-by-default
 # feature; tests/simd_parity.rs pins bitwise agreement with the scalar

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use cirstag::{analyze_sweep, ArtifactCache, CirStag, CirStagConfig};
+use cirstag::{ArtifactCache, CirStag, CirStagConfig};
 use cirstag_embed::{knn_graph, HnswIndex, HnswParams, KnnConfig};
 use cirstag_graph::Graph;
 use cirstag_linalg::{par, vecops, DenseMatrix};
@@ -410,10 +410,14 @@ fn main() {
         }
     });
     let warm_ms = time_ms(1, || {
-        let mut cache = ArtifactCache::new();
-        std::hint::black_box(
-            analyze_sweep(&gsweep, None, &sweep_emb, &sweep_cfgs, &mut cache).expect("warm sweep"),
-        );
+        let cache = ArtifactCache::new();
+        for cfg in &sweep_cfgs {
+            std::hint::black_box(
+                CirStag::new(*cfg)
+                    .analyze_cached(&gsweep, None, &sweep_emb, &cache, None)
+                    .expect("warm sweep"),
+            );
+        }
     });
     println!(
         "{:>28} {:>8} {:>10.2}ms {:>10.2}ms {:>8.2}x  (cold vs cached sweep, {} configs)",
@@ -440,7 +444,7 @@ fn main() {
     // design and recomputes only the dirty region (plus halo viewers). Both
     // rows run on one core — the speedup is cache locality, not threads.
     {
-        use cirstag::{analyze_partitioned_cached, analyze_partitioned_cold};
+        use cirstag::analyze_partitioned;
         use cirstag_circuit::{apply_delta, partition_graph, DeltaOp, NetlistDelta};
 
         let geco = grid(100);
@@ -465,47 +469,27 @@ fn main() {
             }],
         };
         let outcome = apply_delta(&geco, None, &delta, &partitioning).expect("apply bench delta");
-        let mut eco_cache = ArtifactCache::new();
-        std::hint::black_box(
-            analyze_partitioned_cached(
+        let eco_run = |graph: &Graph, cache: Option<&ArtifactCache>| {
+            analyze_partitioned(
                 &eco_cfg,
-                &geco,
+                graph,
                 None,
                 &eco_emb,
                 &partitioning.assignment,
                 num_partitions,
                 halo_depth,
-                &mut eco_cache,
+                cache,
+                None,
             )
-            .expect("prime eco cache"),
-        );
+        };
+        let eco_cache = ArtifactCache::new();
+        std::hint::black_box(eco_run(&geco, Some(&eco_cache)).expect("prime eco cache"));
         let eco_cold_ms = time_ms(1, || {
-            std::hint::black_box(
-                analyze_partitioned_cold(
-                    &eco_cfg,
-                    &outcome.graph,
-                    None,
-                    &eco_emb,
-                    &partitioning.assignment,
-                    num_partitions,
-                    halo_depth,
-                )
-                .expect("cold eco run"),
-            );
+            std::hint::black_box(eco_run(&outcome.graph, None).expect("cold eco run"));
         });
         let mut eco_recomputed = 0;
         let eco_warm_ms = time_ms(1, || {
-            let report = analyze_partitioned_cached(
-                &eco_cfg,
-                &outcome.graph,
-                None,
-                &eco_emb,
-                &partitioning.assignment,
-                num_partitions,
-                halo_depth,
-                &mut eco_cache,
-            )
-            .expect("warm eco delta run");
+            let report = eco_run(&outcome.graph, Some(&eco_cache)).expect("warm eco delta run");
             eco_recomputed = report.recomputed().len();
             std::hint::black_box(report);
         });

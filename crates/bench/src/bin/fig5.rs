@@ -87,12 +87,7 @@ fn main() {
             feature_weight: 0.0,
             ..Default::default()
         };
-        if n > 3000 {
-            cfg.knn.method = KnnMethod::RpForest {
-                num_trees: 6,
-                leaf_size: 48,
-            };
-        }
+        cfg.knn.method = KnnMethod::auto(n);
         let report = CirStag::new(cfg)
             .analyze(&graph, Some(&features), &embedding)
             .expect("cirstag");

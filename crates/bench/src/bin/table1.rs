@@ -57,12 +57,7 @@ fn main() {
             feature_weight: 0.0,
             ..Default::default()
         };
-        if n > 3000 {
-            cirstag_cfg.knn.method = KnnMethod::RpForest {
-                num_trees: 6,
-                leaf_size: 48,
-            };
-        }
+        cirstag_cfg.knn.method = KnnMethod::auto(n);
         let cells = table1_row(&mut case, cirstag_cfg, &fractions, &scales).expect("table row");
         let mut row = vec![
             spec.name.to_string(),

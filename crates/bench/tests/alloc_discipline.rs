@@ -10,7 +10,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cirstag::{PartitionPlan, SpliceBuffers};
 use cirstag_embed::{HnswIndex, HnswParams};
 use cirstag_graph::Graph;
 use cirstag_linalg::{par, DenseMatrix};
@@ -193,63 +192,6 @@ fn warm_solver_iterations_are_allocation_free() {
         after - before,
         0,
         "warm HnswIndex::knn_into allocated {} times",
-        after - before
-    );
-
-    // ---- ECO splice: SpliceBuffers::reset/splice/finish -------------------
-    // The delta path reuses one splice arena across edits; after the first
-    // (warming) cycle grows the score and edge vectors to their high-water
-    // marks, a full reset → splice-every-partition → finish cycle of the
-    // same design must not touch the heap.
-    let eco = grid(16);
-    let eco_n = eco.num_nodes();
-    let assignment: Vec<u32> = (0..eco_n)
-        .map(|i| {
-            let (r, c) = (i / 16, i % 16);
-            (u32::from(r >= 8) << 1) | u32::from(c >= 8)
-        })
-        .collect();
-    let emb = {
-        let mut data = Vec::with_capacity(eco_n * 4);
-        for i in 0..eco_n * 4 {
-            data.push((i as f64 * 0.37).sin());
-        }
-        DenseMatrix::from_vec(eco_n, 4, data).expect("embedding")
-    };
-    let plan = PartitionPlan::build(&eco, None, &emb, &assignment, 4, 1).expect("partition plan");
-    // Synthetic per-partition sub-results, built outside the probe window.
-    type SubResult = (Vec<f64>, Vec<(usize, usize, f64)>);
-    let subresults: Vec<SubResult> = plan
-        .views
-        .iter()
-        .map(|v| {
-            let scores: Vec<f64> = (0..v.nodes.len()).map(|i| i as f64 * 0.5).collect();
-            let edges: Vec<(usize, usize, f64)> = v
-                .subgraph
-                .edges()
-                .iter()
-                .map(|e| (e.u, e.v, e.weight * 0.25))
-                .collect();
-            (scores, edges)
-        })
-        .collect();
-    let mut buffers = SpliceBuffers::new();
-    buffers.reset(eco_n);
-    for (v, (s, e)) in plan.views.iter().zip(&subresults) {
-        buffers.splice(v, s, e);
-    }
-    buffers.finish();
-    let before = allocations();
-    buffers.reset(eco_n);
-    for (v, (s, e)) in plan.views.iter().zip(&subresults) {
-        buffers.splice(v, s, e);
-    }
-    buffers.finish();
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "warm SpliceBuffers delta cycle allocated {} times",
         after - before
     );
 }

@@ -4,9 +4,10 @@ use crate::CliError;
 
 /// Neighbor-search backend selected on the command line.
 ///
-/// `Auto` keeps the size-based heuristic (exact below a few thousand pins,
-/// rp-forest above); the other variants force one backend with its default
-/// parameters regardless of circuit size.
+/// `Auto` picks the backend by design size ([`cirstag_embed::KnnMethod::auto`]:
+/// exact up to 3000 pins, rp-forest up to 50,000, HNSW above); the other
+/// variants force one backend with its default parameters regardless of
+/// circuit size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KnnChoice {
     /// Pick per circuit size (default).
@@ -202,7 +203,9 @@ USAGE:
                             [--cache-dir DIR]       persist stage artifacts and
                                                      replay them on re-runs
                             [--knn METHOD]          Phase-2 neighbor search:
-                                                     auto (default), exact,
+                                                     auto (default: exact up to
+                                                     3000 pins, rp-forest up to
+                                                     50000, hnsw above), exact,
                                                      rp-forest, or hnsw
                             [--partitions N]        partition-scoped run; writes
                                                      an ECO workspace (requires

@@ -3,8 +3,8 @@
 use crate::args::{KnnChoice, USAGE};
 use crate::{CliError, Command};
 use cirstag::{
-    analyze_partitioned_cached, analyze_partitioned_cold, analyze_sweep, ArtifactCache, CirStag,
-    CirStagConfig, EcoReportExport, FailurePolicy, PartitionedReport, ReportExport,
+    analyze_partitioned, ArtifactCache, CirStag, CirStagConfig, EcoReportExport, FailurePolicy,
+    PartitionedReport, ReportExport,
 };
 use cirstag_circuit::{
     apply_delta, extract_features, generate_circuit, parse_netlist, partition_graph, write_netlist,
@@ -314,13 +314,7 @@ fn base_config(graph: &Graph, threads: usize, best_effort: bool, knn: KnnChoice)
             leaf_size: 48,
         },
         KnnChoice::Hnsw => KnnMethod::hnsw_default(),
-        // Size heuristic: exhaustive search is cheap below a few thousand
-        // pins; larger designs default to the rp-forest backend.
-        KnnChoice::Auto if graph.num_nodes() > 3000 => KnnMethod::RpForest {
-            num_trees: 6,
-            leaf_size: 48,
-        },
-        KnnChoice::Auto => KnnMethod::Exact,
+        KnnChoice::Auto => KnnMethod::auto(graph.num_nodes()),
     };
     config
 }
@@ -356,8 +350,8 @@ fn analyze(
         let (features, embedding) = train_gnn(&timing, &netlist, &library, &graph, epochs, out)?;
         let config = base_config(&graph, threads, best_effort, knn);
         let partitioning = partition_graph(&graph, &pconfig)?;
-        let mut cache = ArtifactCache::new().with_disk_dir(workspace);
-        let report = analyze_partitioned_cached(
+        let cache = ArtifactCache::new().with_disk_dir(workspace);
+        let report = analyze_partitioned(
             &config,
             &graph,
             Some(&features),
@@ -365,7 +359,8 @@ fn analyze(
             &partitioning.assignment,
             partitioning.num_partitions,
             partitioning.halo_depth,
-            &mut cache,
+            Some(&cache),
+            None,
         )?;
         writeln!(
             out,
@@ -416,8 +411,14 @@ fn analyze(
     let report = match cache_dir {
         None => CirStag::new(config).analyze(&graph, Some(&features), &embedding)?,
         Some(dir) => {
-            let mut cache = ArtifactCache::new().with_disk_dir(dir);
-            CirStag::new(config).analyze_cached(&graph, Some(&features), &embedding, &mut cache)?
+            let cache = ArtifactCache::new().with_disk_dir(dir);
+            CirStag::new(config).analyze_cached(
+                &graph,
+                Some(&features),
+                &embedding,
+                &cache,
+                None,
+            )?
         }
     };
     writeln!(out, "stage timings: {}", report.timings.summary())?;
@@ -694,29 +695,18 @@ fn diff(
         best_effort.unwrap_or(manifest.best_effort),
         knn,
     );
-    let report = if cold {
-        analyze_partitioned_cold(
-            &config,
-            &graph,
-            Some(&features),
-            &embedding,
-            &partitioning.assignment,
-            partitioning.num_partitions,
-            partitioning.halo_depth,
-        )?
-    } else {
-        let mut cache = ArtifactCache::new().with_disk_dir(workspace);
-        analyze_partitioned_cached(
-            &config,
-            &graph,
-            Some(&features),
-            &embedding,
-            &partitioning.assignment,
-            partitioning.num_partitions,
-            partitioning.halo_depth,
-            &mut cache,
-        )?
-    };
+    let cache = (!cold).then(|| ArtifactCache::new().with_disk_dir(workspace));
+    let report = analyze_partitioned(
+        &config,
+        &graph,
+        Some(&features),
+        &embedding,
+        &partitioning.assignment,
+        partitioning.num_partitions,
+        partitioning.halo_depth,
+        cache.as_ref(),
+        None,
+    )?;
     writeln!(out, "root {}", report.root.hex())?;
     write_partition_table(&report, out)?;
     let recomputed = report.recomputed();
@@ -768,7 +758,12 @@ fn sweep(
     if let Some(dir) = cache_dir {
         cache = cache.with_disk_dir(dir);
     }
-    let reports = analyze_sweep(&graph, Some(&features), &embedding, &configs, &mut cache)?;
+    let reports = configs
+        .iter()
+        .map(|config| {
+            CirStag::new(*config).analyze_cached(&graph, Some(&features), &embedding, &cache, None)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     writeln!(
         out,
         "\nsweep over DMD subspace size s ({} configs):",

@@ -18,10 +18,11 @@
 //! as a [`FallbackEvent`] in the run's diagnostics — rather than silently
 //! skipped, so corruption is observable and never re-read.
 //!
-//! [`SharedArtifactCache`] wraps a cache for concurrent tenants (the
-//! `cirstag serve` daemon): per-operation locking plus single-flight
-//! deduplication, so two workers racing on the same stage fingerprint
-//! yield exactly one compute and one replay.
+//! One [`ArtifactCache`] is shared by `&` across any number of runs and
+//! threads (the CLI's cached runs, the `cirstag serve` workers): the LRU,
+//! disk and quarantine store sits behind one lock, held only across single
+//! lookup/store operations, and misses are single-flight — two runs racing
+//! on the same stage fingerprint yield exactly one compute and one replay.
 
 use crate::engine::fingerprint::{Fingerprint, Fingerprinter};
 use crate::{ApproxKnnRecord, FallbackEvent};
@@ -52,7 +53,7 @@ const QUARANTINE_SUFFIX: &str = ".quarantined";
 const DISK_STAGE: &str = "cache/disk";
 
 /// Process-wide counter making temporary file names unique across threads
-/// (two exclusive caches in one process may write the same key's entry).
+/// (two caches in one process may write the same key's entry).
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Default in-memory capacity (entries). Five cacheable stages per run
@@ -124,88 +125,46 @@ struct Slot {
     last_used: u64,
 }
 
-/// Fingerprint-keyed artifact cache shared across pipeline runs.
-///
-/// Construct one, then pass it to [`crate::CirStag::analyze_cached`] or
-/// [`crate::analyze_sweep`]; runs whose stage fingerprints match replay
-/// the stored artifacts instead of recomputing them.
-///
-/// Failpoint-armed runs (the `failpoints` feature) should use the
-/// uncached [`crate::CirStag::analyze`]: a cache hit replays the stored
-/// outcome and will not consume a one-shot failpoint arming.
-#[derive(Debug, Default)]
-pub struct ArtifactCache {
+/// The LRU, disk and quarantine body of an [`ArtifactCache`], reached only
+/// through the cache's lock.
+#[derive(Debug)]
+struct Store {
     entries: BTreeMap<Fingerprint, Slot>,
     capacity: usize,
     tick: u64,
     disk_dir: Option<PathBuf>,
-    /// Disk-layer events (quarantined entries) accumulated since the last
-    /// [`ArtifactCache::take_pending_events`] call; the engine drains these
-    /// into the running analysis' diagnostics.
-    pending_events: Vec<FallbackEvent>,
 }
 
-impl ArtifactCache {
-    /// An in-memory cache with the default capacity.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// An in-memory cache holding at most `capacity` entries (minimum 1);
-    /// the least-recently-used entry is evicted at capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ArtifactCache {
+impl Store {
+    fn with_capacity(capacity: usize) -> Self {
+        Store {
             entries: BTreeMap::new(),
             capacity: capacity.max(1),
             tick: 0,
             disk_dir: None,
-            pending_events: Vec::new(),
         }
     }
 
-    /// Adds a best-effort on-disk layer under `dir` (created on first
-    /// write). Disk entries survive the process and back-fill the
-    /// in-memory layer on lookup.
-    pub fn with_disk_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.disk_dir = Some(dir.into());
-        self
-    }
-
-    /// The configured disk layer, if any.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
-    }
-
-    /// Number of in-memory entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the in-memory layer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every in-memory entry (the disk layer is untouched).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Looks up `key`, consulting memory first and then disk. A disk hit
-    /// is promoted into the in-memory layer.
-    pub(crate) fn lookup(&mut self, key: Fingerprint) -> Option<CachedArtifact> {
+    /// is promoted into the in-memory layer; a corrupt disk entry is
+    /// quarantined and its event appended to `events`.
+    fn lookup(
+        &mut self,
+        key: Fingerprint,
+        events: &mut Vec<FallbackEvent>,
+    ) -> Option<CachedArtifact> {
         self.tick = self.tick.wrapping_add(1);
         if let Some(slot) = self.entries.get_mut(&key) {
             slot.last_used = self.tick;
             return Some(slot.value.clone());
         }
-        let value = self.disk_lookup(key)?;
+        let value = self.disk_lookup(key, events)?;
         self.insert_memory(key, value.clone());
         Some(value)
     }
 
     /// Stores `value` under `key` in memory and (best-effort) on disk.
-    pub(crate) fn store(&mut self, key: Fingerprint, value: CachedArtifact) {
+    fn store(&mut self, key: Fingerprint, value: CachedArtifact) {
         self.disk_store(key, &value);
         self.tick = self.tick.wrapping_add(1);
         self.insert_memory(key, value);
@@ -232,13 +191,6 @@ impl ArtifactCache {
         );
     }
 
-    /// Drains the disk-layer events (quarantined corrupt entries) recorded
-    /// since the last call. The engine appends them to the running
-    /// analysis' diagnostics so corruption is observable, not silent.
-    pub fn take_pending_events(&mut self) -> Vec<FallbackEvent> {
-        std::mem::take(&mut self.pending_events)
-    }
-
     fn entry_path(&self, key: Fingerprint) -> Option<PathBuf> {
         self.disk_dir
             .as_ref()
@@ -247,8 +199,12 @@ impl ArtifactCache {
 
     /// Reads `key`'s disk entry. A missing file is a plain miss; a file
     /// that fails to parse or checksum-verify is quarantined (renamed with
-    /// [`QUARANTINE_SUFFIX`]) and recorded in [`ArtifactCache::pending_events`].
-    fn disk_lookup(&mut self, key: Fingerprint) -> Option<CachedArtifact> {
+    /// [`QUARANTINE_SUFFIX`]) and its event appended to `events`.
+    fn disk_lookup(
+        &self,
+        key: Fingerprint,
+        events: &mut Vec<FallbackEvent>,
+    ) -> Option<CachedArtifact> {
         let path = self.entry_path(key)?;
         let text = std::fs::read_to_string(&path).ok()?;
         match serde_json::from_str(&text) {
@@ -260,34 +216,10 @@ impl ArtifactCache {
                     // version that wrote it and treat it as a miss.
                     return None;
                 }
-                self.quarantine(&path, &reason);
+                events.push(quarantine(&path, &reason));
                 None
             }
         }
-    }
-
-    /// Renames a corrupt entry aside and logs the event. Renaming (rather
-    /// than deleting) preserves the evidence for post-mortems and keeps the
-    /// corrupt bytes from being re-read as this key on the next lookup.
-    fn quarantine(&mut self, path: &Path, reason: &str) {
-        let mut aside = path.as_os_str().to_owned();
-        aside.push(QUARANTINE_SUFFIX);
-        let renamed = std::fs::rename(path, &aside).is_ok();
-        self.pending_events.push(FallbackEvent {
-            stage: DISK_STAGE.to_string(),
-            rung: "quarantine".to_string(),
-            cause: format!(
-                "corrupt cache entry {}{}: {reason}",
-                path.display(),
-                if renamed {
-                    " quarantined"
-                } else {
-                    " (rename aside failed)"
-                },
-            ),
-            residual: None,
-            elapsed_ms: 0,
-        });
     }
 
     fn disk_store(&self, key: Fingerprint, value: &CachedArtifact) {
@@ -332,66 +264,95 @@ impl ArtifactCache {
     }
 }
 
-// ---- shared, single-flight layer ------------------------------------------
-
-/// State behind the [`SharedArtifactCache`] lock: the cache itself plus the
-/// set of keys currently being computed by some tenant.
-#[derive(Debug)]
-struct SharedState {
-    cache: ArtifactCache,
-    in_flight: BTreeSet<Fingerprint>,
-}
-
-/// A thread-safe [`ArtifactCache`] for concurrent tenants.
-///
-/// The lock is held only across individual lookup/store operations, never
-/// while a stage computes, so tenants analyzing *different* keys proceed in
-/// parallel. Tenants racing on the *same* key are deduplicated
-/// single-flight: the first miss becomes the leader and computes; later
-/// arrivals block until the leader publishes (or fails) and then replay the
-/// stored artifact. Two workers analyzing the same fingerprint therefore
-/// yield exactly one compute and one replay, with bit-identical
-/// diagnostics.
-#[derive(Debug)]
-pub struct SharedArtifactCache {
-    state: Mutex<SharedState>,
-    published: Condvar,
-}
-
-impl Default for SharedArtifactCache {
-    fn default() -> Self {
-        SharedArtifactCache::new(ArtifactCache::new())
+/// Renames a corrupt entry aside and returns the event recording it.
+/// Renaming (rather than deleting) preserves the evidence for post-mortems
+/// and keeps the corrupt bytes from being re-read as this key on the next
+/// lookup.
+fn quarantine(path: &Path, reason: &str) -> FallbackEvent {
+    let mut aside = path.as_os_str().to_owned();
+    aside.push(QUARANTINE_SUFFIX);
+    let renamed = std::fs::rename(path, &aside).is_ok();
+    FallbackEvent {
+        stage: DISK_STAGE.to_string(),
+        rung: "quarantine".to_string(),
+        cause: format!(
+            "corrupt cache entry {}{}: {reason}",
+            path.display(),
+            if renamed {
+                " quarantined"
+            } else {
+                " (rename aside failed)"
+            },
+        ),
+        residual: None,
+        elapsed_ms: 0,
     }
 }
 
-impl SharedArtifactCache {
-    /// Wraps `cache` for shared use.
-    pub fn new(cache: ArtifactCache) -> Self {
-        SharedArtifactCache {
-            state: Mutex::new(SharedState {
-                cache,
+/// State behind the [`ArtifactCache`] lock: the store plus the set of keys
+/// some run is currently computing.
+#[derive(Debug)]
+struct State {
+    store: Store,
+    in_flight: BTreeSet<Fingerprint>,
+}
+
+/// Fingerprint-keyed artifact cache shared across pipeline runs.
+///
+/// Construct one, then pass it by `&` to [`crate::CirStag::analyze_cached`]
+/// or [`crate::analyze_partitioned`]; runs whose stage fingerprints match
+/// replay the stored artifacts instead of recomputing them. One cache may
+/// serve many threads at once. The lock is held only across individual
+/// lookup/store operations, never while a stage computes, so runs on
+/// *different* keys proceed in parallel. Runs racing on the *same* key are
+/// deduplicated single-flight: the first miss becomes the leader and
+/// computes; later arrivals block until the leader publishes (or fails)
+/// and then replay the stored artifact, with bit-identical diagnostics.
+///
+/// Failpoint-armed runs (the `failpoints` feature) should use the
+/// uncached [`crate::CirStag::analyze`]: a cache hit replays the stored
+/// outcome and will not consume a one-shot failpoint arming.
+#[derive(Debug)]
+pub struct ArtifactCache {
+    state: Mutex<State>,
+    published: Condvar,
+}
+
+impl Default for ArtifactCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ArtifactCache {
+    /// An in-memory cache with the default capacity.
+    pub fn new() -> Self {
+        Self::with_capacity(DEFAULT_CAPACITY)
+    }
+
+    /// An in-memory cache holding at most `capacity` entries (minimum 1);
+    /// the least-recently-used entry is evicted at capacity.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ArtifactCache {
+            state: Mutex::new(State {
+                store: Store::with_capacity(capacity),
                 in_flight: BTreeSet::new(),
             }),
             published: Condvar::new(),
         }
     }
 
-    /// Unwraps the inner cache (consumes the shared layer).
-    pub fn into_inner(self) -> ArtifactCache {
-        self.state
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .cache
+    /// Adds a best-effort on-disk layer under `dir` (created on first
+    /// write). Disk entries survive the process and back-fill the
+    /// in-memory layer on lookup.
+    pub fn with_disk_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.store.disk_dir = Some(dir.into());
+        self
     }
 
-    /// Runs `f` with exclusive access to the inner cache (e.g. to read
-    /// `len()` for stats). Do not block inside `f`.
-    pub fn with<R>(&self, f: impl FnOnce(&mut ArtifactCache) -> R) -> R {
-        f(&mut self.lock().cache)
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SharedState> {
-        // A tenant that panicked mid-operation cannot leave the map half
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // A run that panicked mid-operation cannot leave the map half
         // mutated (every mutation is a single insert/remove), so the
         // poisoned state is safe to adopt.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -400,24 +361,20 @@ impl SharedArtifactCache {
     /// Looks up `key`; on a miss, either becomes the leader for it (the
     /// caller must compute and then [`InFlightGuard::fulfill`] or drop the
     /// guard) or waits for the current leader and replays its result.
-    pub(crate) fn lookup_or_lead(&self, key: Fingerprint) -> SharedLookup<'_> {
+    pub(crate) fn lookup_or_lead(&self, key: Fingerprint) -> Lookup<'_> {
+        let mut events = Vec::new();
         let mut st = self.lock();
         loop {
-            if let Some(hit) = st.cache.lookup(key) {
-                let events = st.cache.take_pending_events();
-                return SharedLookup::Hit(hit, events);
+            if let Some(hit) = st.store.lookup(key, &mut events) {
+                return Lookup::Hit(hit, events);
             }
-            if !st.in_flight.contains(&key) {
-                st.in_flight.insert(key);
-                let events = st.cache.take_pending_events();
-                return SharedLookup::Lead(
-                    InFlightGuard {
-                        owner: self,
-                        key,
-                        fulfilled: false,
-                    },
-                    events,
-                );
+            if st.in_flight.insert(key) {
+                let guard = InFlightGuard {
+                    owner: self,
+                    key,
+                    fulfilled: false,
+                };
+                return Lookup::Lead(guard, events);
             }
             st = self
                 .published
@@ -427,9 +384,9 @@ impl SharedArtifactCache {
     }
 }
 
-/// Outcome of [`SharedArtifactCache::lookup_or_lead`], carrying any
-/// disk-layer events (quarantines) the lookup surfaced.
-pub(crate) enum SharedLookup<'a> {
+/// Outcome of [`ArtifactCache::lookup_or_lead`], carrying any disk-layer
+/// events (quarantines) the lookup surfaced.
+pub(crate) enum Lookup<'a> {
     /// The entry was present (or became present while waiting): replay it.
     Hit(CachedArtifact, Vec<FallbackEvent>),
     /// The caller is the leader for this key and must compute it.
@@ -438,19 +395,19 @@ pub(crate) enum SharedLookup<'a> {
 
 /// Leadership over one in-flight key. Dropping the guard without
 /// [`InFlightGuard::fulfill`] (stage error, cancellation, or a panic
-/// unwinding through the engine) releases the key so a waiting tenant can
+/// unwinding through the engine) releases the key so a waiting run can
 /// take over as the new leader instead of deadlocking.
 pub(crate) struct InFlightGuard<'a> {
-    owner: &'a SharedArtifactCache,
+    owner: &'a ArtifactCache,
     key: Fingerprint,
     fulfilled: bool,
 }
 
 impl InFlightGuard<'_> {
-    /// Publishes the computed entry and wakes every tenant waiting on it.
+    /// Publishes the computed entry and wakes every run waiting on it.
     pub(crate) fn fulfill(mut self, value: CachedArtifact) {
         let mut st = self.owner.lock();
-        st.cache.store(self.key, value);
+        st.store.store(self.key, value);
         st.in_flight.remove(&self.key);
         self.fulfilled = true;
         drop(st);
@@ -674,6 +631,13 @@ mod tests {
         }
     }
 
+    /// A store with the default capacity and a disk layer under `dir`.
+    fn store_at(dir: &Path) -> Store {
+        let mut store = Store::with_capacity(DEFAULT_CAPACITY);
+        store.disk_dir = Some(dir.to_path_buf());
+        store
+    }
+
     fn manifold_entry(weight: f64) -> CachedArtifact {
         CachedArtifact {
             payload: CachedPayload::Manifold(
@@ -700,15 +664,17 @@ mod tests {
 
     #[test]
     fn memory_roundtrip_and_lru_eviction() {
-        let mut cache = ArtifactCache::with_capacity(2);
+        let mut cache = Store::with_capacity(2);
+        let mut events = Vec::new();
         cache.store(key(1), manifold_entry(1.0));
         cache.store(key(2), manifold_entry(2.0));
-        assert!(cache.lookup(key(1)).is_some()); // refresh 1
+        assert!(cache.lookup(key(1), &mut events).is_some()); // refresh 1
         cache.store(key(3), manifold_entry(3.0)); // evicts 2
-        assert!(cache.lookup(key(2)).is_none());
-        assert!(cache.lookup(key(1)).is_some());
-        assert!(cache.lookup(key(3)).is_some());
-        assert_eq!(cache.len(), 2);
+        assert!(cache.lookup(key(2), &mut events).is_none());
+        assert!(cache.lookup(key(1), &mut events).is_some());
+        assert!(cache.lookup(key(3), &mut events).is_some());
+        assert_eq!(cache.entries.len(), 2);
+        assert!(events.is_empty());
     }
 
     #[test]
@@ -718,11 +684,11 @@ mod tests {
         // Weight with a non-trivial mantissa to exercise exact float I/O.
         let w = 0.1 + 0.2;
         {
-            let mut writer = ArtifactCache::new().with_disk_dir(&dir);
+            let mut writer = store_at(&dir);
             writer.store(key(7), manifold_entry(w));
         }
-        let mut reader = ArtifactCache::new().with_disk_dir(&dir);
-        let hit = reader.lookup(key(7)).expect("disk hit");
+        let mut reader = store_at(&dir);
+        let hit = reader.lookup(key(7), &mut Vec::new()).expect("disk hit");
         match &hit.payload {
             CachedPayload::Manifold(g) => {
                 let e0 = g.edges().first().unwrap();
@@ -755,10 +721,14 @@ mod tests {
                "events": [], "warnings": [], "knn": []}"#,
         )
         .unwrap();
-        let mut cache = ArtifactCache::new().with_disk_dir(&dir);
-        assert!(cache.lookup(k).is_none(), "stale schema must miss");
+        let mut cache = store_at(&dir);
+        let mut events = Vec::new();
         assert!(
-            cache.take_pending_events().is_empty(),
+            cache.lookup(k, &mut events).is_none(),
+            "stale schema must miss"
+        );
+        assert!(
+            events.is_empty(),
             "stale schema must not raise a quarantine event"
         );
         assert!(path.exists(), "stale entry must stay for its own version");
@@ -770,7 +740,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("cirstag-cache-nan-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = ArtifactCache::new().with_disk_dir(&dir);
+        let mut cache = store_at(&dir);
         let entry = CachedArtifact {
             payload: CachedPayload::Scores(ScoreSet {
                 eigenvalues: vec![f64::NAN],
@@ -784,9 +754,9 @@ mod tests {
         };
         cache.store(key(9), entry);
         // Memory hit works; no disk file was produced.
-        assert!(cache.lookup(key(9)).is_some());
-        let mut fresh = ArtifactCache::new().with_disk_dir(&dir);
-        assert!(fresh.lookup(key(9)).is_none());
+        assert!(cache.lookup(key(9), &mut Vec::new()).is_some());
+        let mut fresh = store_at(&dir);
+        assert!(fresh.lookup(key(9), &mut Vec::new()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -799,21 +769,21 @@ mod tests {
         let k = key(11);
         let path = dir.join(format!("art-{}.json", k.hex()));
         std::fs::write(&path, "{not json").unwrap();
-        let mut cache = ArtifactCache::new().with_disk_dir(&dir);
-        assert!(cache.lookup(k).is_none());
+        let mut cache = store_at(&dir);
+        let mut events = Vec::new();
+        assert!(cache.lookup(k, &mut events).is_none());
         // The corrupt file was renamed aside and the event recorded.
         assert!(!path.exists(), "corrupt entry still at its live path");
         let aside = dir.join(format!("art-{}.json{QUARANTINE_SUFFIX}", k.hex()));
         assert!(aside.exists(), "quarantined copy missing");
-        let events = cache.take_pending_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].stage, DISK_STAGE);
         assert_eq!(events[0].rung, "quarantine");
-        assert!(cache.take_pending_events().is_empty(), "events drain once");
         // A second lookup is a plain miss: the quarantined bytes are not
         // re-read and no new event fires.
-        assert!(cache.lookup(k).is_none());
-        assert!(cache.take_pending_events().is_empty());
+        let mut again = Vec::new();
+        assert!(cache.lookup(k, &mut again).is_none());
+        assert!(again.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -823,7 +793,7 @@ mod tests {
             std::env::temp_dir().join(format!("cirstag-cache-bitflip-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut writer = ArtifactCache::new().with_disk_dir(&dir);
+            let mut writer = store_at(&dir);
             writer.store(key(21), manifold_entry(2.5));
         }
         let path = {
@@ -836,9 +806,12 @@ mod tests {
         assert_ne!(text, corrupted, "fixture must actually change");
         std::fs::write(&path, corrupted).unwrap();
 
-        let mut cache = ArtifactCache::new().with_disk_dir(&dir);
-        assert!(cache.lookup(key(21)).is_none(), "checksum must reject");
-        let events = cache.take_pending_events();
+        let mut cache = store_at(&dir);
+        let mut events = Vec::new();
+        assert!(
+            cache.lookup(key(21), &mut events).is_none(),
+            "checksum must reject"
+        );
         assert_eq!(events.len(), 1);
         assert!(events[0].cause.contains("checksum"), "{}", events[0].cause);
         let _ = std::fs::remove_dir_all(&dir);
@@ -849,7 +822,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("cirstag-cache-tmp-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = ArtifactCache::new().with_disk_dir(&dir);
+        let mut cache = store_at(&dir);
         for i in 0..4 {
             cache.store(key(30 + i), manifold_entry(1.0 + i as f64));
         }
@@ -868,7 +841,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::{Arc, Barrier};
 
-        let shared = Arc::new(SharedArtifactCache::default());
+        let shared = Arc::new(ArtifactCache::new());
         let computes = Arc::new(AtomicUsize::new(0));
         let replays = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(4));
@@ -882,14 +855,14 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     match shared.lookup_or_lead(k) {
-                        SharedLookup::Hit(hit, _) => {
+                        Lookup::Hit(hit, _) => {
                             replays.fetch_add(1, Ordering::SeqCst);
                             match hit.payload {
                                 CachedPayload::Manifold(g) => assert_eq!(g.num_nodes(), 4),
                                 other => panic!("wrong payload {other:?}"),
                             }
                         }
-                        SharedLookup::Lead(guard, _) => {
+                        Lookup::Lead(guard, _) => {
                             // Simulate the stage compute while holding
                             // leadership (lock is NOT held here).
                             std::thread::sleep(std::time::Duration::from_millis(20));
@@ -909,20 +882,20 @@ mod tests {
 
     #[test]
     fn dropped_leader_hands_off_instead_of_deadlocking() {
-        let shared = SharedArtifactCache::default();
+        let shared = ArtifactCache::new();
         let k = key(88);
         match shared.lookup_or_lead(k) {
-            SharedLookup::Lead(guard, _) => drop(guard), // leader fails
-            SharedLookup::Hit(..) => panic!("fresh cache cannot hit"),
+            Lookup::Lead(guard, _) => drop(guard), // leader fails
+            Lookup::Hit(..) => panic!("fresh cache cannot hit"),
         }
         // The key must be takeable again, not stuck in-flight.
         match shared.lookup_or_lead(k) {
-            SharedLookup::Lead(guard, _) => guard.fulfill(manifold_entry(3.0)),
-            SharedLookup::Hit(..) => panic!("nothing was published yet"),
+            Lookup::Lead(guard, _) => guard.fulfill(manifold_entry(3.0)),
+            Lookup::Hit(..) => panic!("nothing was published yet"),
         }
         match shared.lookup_or_lead(k) {
-            SharedLookup::Hit(..) => {}
-            SharedLookup::Lead(..) => panic!("published entry must hit"),
+            Lookup::Hit(..) => {}
+            Lookup::Lead(..) => panic!("published entry must hit"),
         };
     }
 }

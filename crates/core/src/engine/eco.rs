@@ -21,17 +21,16 @@
 //! unchanged — partition-scoped validity is exactly stage-key validity on
 //! the partition's subgraph.
 //!
-//! The splice itself ([`SpliceBuffers`]) is allocation-free in steady
-//! state: score vectors and edge lists are arenas reused across deltas,
-//! pinned by the counting-allocator test in `crates/bench`.
+//! [`analyze_partitioned`] is the one entry point: a cold run passes no
+//! cache, a warm run passes an [`ArtifactCache`], which concurrent runs may
+//! share.
 
 use crate::engine::fingerprint::{Fingerprint, Fingerprinter};
-use crate::engine::{run_pipeline_segmented, CacheRef};
+use crate::engine::run_pipeline;
 use crate::resilience::CancelToken;
-use crate::{ArtifactCache, CirStagConfig, CirStagError, SharedArtifactCache};
+use crate::{ArtifactCache, CirStagConfig, CirStagError};
 use cirstag_graph::Graph;
 use cirstag_linalg::DenseMatrix;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// One partition's slice of the design: its subgraph and the bookkeeping
@@ -269,67 +268,6 @@ fn clamp_config(config: &CirStagConfig, m: usize) -> CirStagConfig {
     cfg
 }
 
-/// Reusable splice arena: global score vectors and the spliced edge list.
-/// Steady-state delta loops reuse one `SpliceBuffers` across re-analyses so
-/// the splice path performs zero heap allocations once warm.
-#[derive(Debug, Default)]
-pub struct SpliceBuffers {
-    node_scores: Vec<f64>,
-    edge_scores: Vec<(usize, usize, f64)>,
-}
-
-impl SpliceBuffers {
-    /// An empty arena (first use allocates; reuse does not).
-    pub fn new() -> Self {
-        SpliceBuffers::default()
-    }
-
-    /// Prepares the arena for an `n`-node design, keeping capacity.
-    pub fn reset(&mut self, n: usize) {
-        self.node_scores.clear();
-        self.node_scores.resize(n, 0.0);
-        self.edge_scores.clear();
-    }
-
-    /// Splices one partition's sub-pipeline result into global coordinates:
-    /// owned-node scores land at their global ids, and a manifold edge is
-    /// emitted exactly when its lower endpoint is owned by this partition
-    /// (owned sets are disjoint, so every edge has at most one emitter).
-    pub fn splice(
-        &mut self,
-        view: &PartitionView,
-        node_scores: &[f64],
-        edge_scores: &[(usize, usize, f64)],
-    ) {
-        for (li, &g) in view.nodes.iter().enumerate() {
-            if view.owned[li] {
-                self.node_scores[g] = node_scores[li];
-            }
-        }
-        for &(lu, lv, s) in edge_scores {
-            if view.owned[lu] {
-                self.edge_scores.push((view.nodes[lu], view.nodes[lv], s));
-            }
-        }
-    }
-
-    /// Canonicalizes the spliced edge list (sorted by endpoint pair) after
-    /// every partition has been spliced.
-    pub fn finish(&mut self) {
-        self.edge_scores.sort_unstable_by_key(|a| (a.0, a.1));
-    }
-
-    /// The spliced global node scores.
-    pub fn node_scores(&self) -> &[f64] {
-        &self.node_scores
-    }
-
-    /// The spliced, canonicalized global edge scores.
-    pub fn edge_scores(&self) -> &[(usize, usize, f64)] {
-        &self.edge_scores
-    }
-}
-
 /// Per-partition outcome of a partitioned run.
 #[derive(Debug, Clone)]
 pub struct PartitionRecord {
@@ -384,8 +322,8 @@ impl PartitionedReport {
 
     /// Ids of partitions that recomputed at least one stage: the dirty set
     /// of a warm run (a cache miss on any cacheable stage), or every
-    /// partition of a cache-less run (`EcoCache::Cold` records neither hits
-    /// nor misses, so zero hits means nothing was replayed).
+    /// partition of a cache-less run (which records neither hits nor
+    /// misses, so zero hits means nothing was replayed).
     pub fn recomputed(&self) -> Vec<u32> {
         self.partitions
             .iter()
@@ -405,25 +343,22 @@ impl PartitionedReport {
     }
 }
 
-/// Cache binding for a partitioned run (mirrors the engine's `CacheRef`,
-/// which is crate-private and not reborrowable across loop iterations).
-pub enum EcoCache<'c> {
-    /// Uncached: every partition computes (the cold baseline).
-    Cold,
-    /// One tenant, exclusive borrow.
-    Exclusive(&'c mut ArtifactCache),
-    /// Many tenants, shared single-flight cache (the serve path).
-    Shared(&'c SharedArtifactCache),
-}
-
 /// Runs the partition-scoped pipeline: one sub-pipeline per partition (in
-/// partition-id order) spliced into a global report via `buffers`.
+/// partition-id order) spliced into a global report. Each partition's
+/// owned-node scores land at their global ids, and a manifold edge is
+/// emitted exactly when its lower endpoint is owned by that partition
+/// (owned sets are disjoint, so every edge has at most one emitter).
+///
+/// `cache = None` is the cold baseline: every partition computes. With a
+/// cache, partitions whose stage fingerprints match replay instead; the
+/// cache may be shared with concurrent runs (the serve `delta` path).
+/// `cancel`, when given, is polled at every stage boundary.
 ///
 /// Warm-vs-cold bit-identity: with the same `(config, graph, features,
 /// embedding, assignment, halo_depth)`, the report is byte-for-byte
-/// identical whatever `cache` binding is used and whatever subset of
-/// partitions replays — sub-pipelines are deterministic and cached stage
-/// artifacts replay their exact cold-run output.
+/// identical with or without a cache and whatever subset of partitions
+/// replays — sub-pipelines are deterministic and cached stage artifacts
+/// replay their exact cold-run output.
 ///
 /// # Errors
 ///
@@ -438,9 +373,8 @@ pub fn analyze_partitioned(
     assignment: &[u32],
     num_partitions: usize,
     halo_depth: usize,
-    mut cache: EcoCache<'_>,
+    cache: Option<&ArtifactCache>,
     cancel: Option<&CancelToken>,
-    buffers: &mut SpliceBuffers,
 ) -> Result<PartitionedReport, CirStagError> {
     let plan = PartitionPlan::build(
         graph,
@@ -450,15 +384,13 @@ pub fn analyze_partitioned(
         num_partitions,
         halo_depth,
     )?;
-    let n = graph.num_nodes();
-    buffers.reset(n);
-
+    let mut node_scores = vec![0.0; graph.num_nodes()];
+    let mut edge_scores = Vec::new();
     let mut records = Vec::with_capacity(plan.views.len());
     let mut degraded = false;
     let mut threads = 1;
     // cirstag-lint: allow(nondeterminism) -- recompute-report wall-clock diagnostics only; excluded from the deterministic payload
     let t0 = Instant::now();
-    let mut segment = String::new();
     for view in &plan.views {
         let m = view.nodes.len();
         let cfg = clamp_config(config, m);
@@ -467,20 +399,15 @@ pub fn analyze_partitioned(
             None => None,
         };
         let sub_embedding = gather_rows(embedding, &view.nodes)?;
-        segment.clear();
-        let _ = write!(segment, "partition/{}", view.id);
+        let segment = format!("partition/{}", view.id);
         // cirstag-lint: allow(nondeterminism) -- recompute-report wall-clock diagnostics only; excluded from the deterministic payload
         let sub_t0 = Instant::now();
-        let sub = run_pipeline_segmented(
+        let sub = run_pipeline(
             &cfg,
             &view.subgraph,
             sub_features.as_ref(),
             &sub_embedding,
-            match &mut cache {
-                EcoCache::Cold => CacheRef::None,
-                EcoCache::Exclusive(c) => CacheRef::Exclusive(c),
-                EcoCache::Shared(s) => CacheRef::Shared(s),
-            },
+            cache,
             cancel,
             Some(&segment),
         )?;
@@ -488,7 +415,16 @@ pub fn analyze_partitioned(
         let sub_wall = sub_t0.elapsed();
         threads = sub.timings.threads;
         degraded = degraded || sub.degraded;
-        buffers.splice(view, &sub.node_scores, &sub.edge_scores);
+        for (li, &g) in view.nodes.iter().enumerate() {
+            if view.owned[li] {
+                node_scores[g] = sub.node_scores[li];
+            }
+        }
+        for &(lu, lv, s) in &sub.edge_scores {
+            if view.owned[lu] {
+                edge_scores.push((view.nodes[lu], view.nodes[lv], s));
+            }
+        }
         records.push(PartitionRecord {
             id: view.id,
             owned: view.owned_count,
@@ -500,11 +436,11 @@ pub fn analyze_partitioned(
             wall: sub_wall,
         });
     }
-    buffers.finish();
+    edge_scores.sort_unstable_by_key(|a| (a.0, a.1));
 
     Ok(PartitionedReport {
-        node_scores: buffers.node_scores().to_vec(),
-        edge_scores: buffers.edge_scores().to_vec(),
+        node_scores,
+        edge_scores,
         root: plan.root,
         num_partitions,
         halo_depth,
@@ -526,100 +462,6 @@ fn gather_rows(m: &DenseMatrix, rows: &[usize]) -> Result<DenseMatrix, CirStagEr
     DenseMatrix::from_vec(rows.len(), m.ncols(), data).map_err(|e| CirStagError::InvalidArgument {
         reason: format!("partition row restriction failed: {e}"),
     })
-}
-
-/// Replays or computes a partitioned analysis against an exclusive cache.
-///
-/// # Errors
-///
-/// See [`analyze_partitioned`].
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_partitioned_cached(
-    config: &CirStagConfig,
-    graph: &Graph,
-    features: Option<&DenseMatrix>,
-    embedding: &DenseMatrix,
-    assignment: &[u32],
-    num_partitions: usize,
-    halo_depth: usize,
-    cache: &mut ArtifactCache,
-) -> Result<PartitionedReport, CirStagError> {
-    let mut buffers = SpliceBuffers::new();
-    analyze_partitioned(
-        config,
-        graph,
-        features,
-        embedding,
-        assignment,
-        num_partitions,
-        halo_depth,
-        EcoCache::Exclusive(cache),
-        None,
-        &mut buffers,
-    )
-}
-
-/// Uncached partitioned analysis — the cold baseline a warm run must match
-/// bit-for-bit.
-///
-/// # Errors
-///
-/// See [`analyze_partitioned`].
-pub fn analyze_partitioned_cold(
-    config: &CirStagConfig,
-    graph: &Graph,
-    features: Option<&DenseMatrix>,
-    embedding: &DenseMatrix,
-    assignment: &[u32],
-    num_partitions: usize,
-    halo_depth: usize,
-) -> Result<PartitionedReport, CirStagError> {
-    let mut buffers = SpliceBuffers::new();
-    analyze_partitioned(
-        config,
-        graph,
-        features,
-        embedding,
-        assignment,
-        num_partitions,
-        halo_depth,
-        EcoCache::Cold,
-        None,
-        &mut buffers,
-    )
-}
-
-/// Partitioned analysis against a shared single-flight cache (the serve
-/// `delta` path), with optional cancellation.
-///
-/// # Errors
-///
-/// See [`analyze_partitioned`].
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_partitioned_shared(
-    config: &CirStagConfig,
-    graph: &Graph,
-    features: Option<&DenseMatrix>,
-    embedding: &DenseMatrix,
-    assignment: &[u32],
-    num_partitions: usize,
-    halo_depth: usize,
-    cache: &SharedArtifactCache,
-    cancel: Option<&CancelToken>,
-) -> Result<PartitionedReport, CirStagError> {
-    let mut buffers = SpliceBuffers::new();
-    analyze_partitioned(
-        config,
-        graph,
-        features,
-        embedding,
-        assignment,
-        num_partitions,
-        halo_depth,
-        EcoCache::Shared(cache),
-        cancel,
-        &mut buffers,
-    )
 }
 
 // ---- deterministic export --------------------------------------------------
@@ -846,12 +688,11 @@ mod tests {
         let emb = synth_embedding(100, 4);
         let cfg = small_config();
 
-        let cold = analyze_partitioned_cold(&cfg, &g, None, &emb, &assignment, 4, 1).unwrap();
-        let mut cache = ArtifactCache::new();
-        let first = analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &mut cache)
-            .unwrap();
-        let warm = analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &mut cache)
-            .unwrap();
+        let run = |cache| analyze_partitioned(&cfg, &g, None, &emb, &assignment, 4, 1, cache, None);
+        let cold = run(None).unwrap();
+        let cache = ArtifactCache::new();
+        let first = run(Some(&cache)).unwrap();
+        let warm = run(Some(&cache)).unwrap();
 
         assert_eq!(cold.node_scores, first.node_scores);
         assert_eq!(cold.node_scores, warm.node_scores);
@@ -879,18 +720,19 @@ mod tests {
         let emb = synth_embedding(100, 4);
         let cfg = small_config();
 
-        let mut cache = ArtifactCache::new();
-        analyze_partitioned_cached(&cfg, &g, None, &emb, &assignment, 4, 1, &mut cache).unwrap();
+        let run = |graph: &Graph, cache| {
+            analyze_partitioned(&cfg, graph, None, &emb, &assignment, 4, 1, cache, None).unwrap()
+        };
+        let cache = ArtifactCache::new();
+        run(&g, Some(&cache));
 
         // Edit deep inside quadrant 0.
         let edited = g.map_weights(|_, e| if e.u == 0 && e.v == 1 { 2.0 } else { e.weight });
-        let warm =
-            analyze_partitioned_cached(&cfg, &edited, None, &emb, &assignment, 4, 1, &mut cache)
-                .unwrap();
+        let warm = run(&edited, Some(&cache));
         assert_eq!(warm.recomputed(), vec![0], "only quadrant 0 recomputes");
 
         // And the spliced result matches a cold run of the edited design.
-        let cold = analyze_partitioned_cold(&cfg, &edited, None, &emb, &assignment, 4, 1).unwrap();
+        let cold = run(&edited, None);
         assert_eq!(cold.node_scores, warm.node_scores);
         assert_eq!(cold.edge_scores, warm.edge_scores);
         let cold_json = EcoReportExport::from_report(&cold).to_json().unwrap();
@@ -922,7 +764,8 @@ mod tests {
         let assignment = quadrants(8);
         let emb = synth_embedding(64, 4);
         let cfg = small_config();
-        let report = analyze_partitioned_cold(&cfg, &g, None, &emb, &assignment, 4, 1).unwrap();
+        let report =
+            analyze_partitioned(&cfg, &g, None, &emb, &assignment, 4, 1, None, None).unwrap();
         let export = EcoReportExport::from_report(&report);
         let json = export.to_json().unwrap();
         let back = EcoReportExport::from_json(&json).unwrap();

@@ -24,7 +24,7 @@ pub mod eco;
 pub mod fingerprint;
 mod stages;
 
-pub use cache::{ArtifactCache, CachedArtifact, CachedPayload, ScoreSet, SharedArtifactCache};
+pub use cache::{ArtifactCache, CachedArtifact, CachedPayload, ScoreSet};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 
 use crate::resilience::CancelToken;
@@ -32,7 +32,7 @@ use crate::{
     CirStagConfig, CirStagError, FailurePolicy, PhaseTimings, RunDiagnostics, StabilityReport,
     StageCacheRecord,
 };
-use cache::{InFlightGuard, SharedLookup};
+use cache::Lookup;
 use cirstag_graph::Graph;
 use cirstag_linalg::{fail, par, CsrMatrix, DenseMatrix};
 use cirstag_solver::{GeneralizedEigen, LaplacianSolver, SolverWorkspace};
@@ -135,24 +135,12 @@ const STATUS_COMPUTED: &str = "computed";
 /// Cache interaction status: the stage is not cacheable.
 const STATUS_UNCACHED: &str = "uncached";
 
-/// The cache binding of one pipeline run: none, an exclusively borrowed
-/// cache (the historical `analyze_cached` path), or a shared cache serving
-/// concurrent tenants through per-operation locking and single-flight
-/// deduplication (the `cirstag serve` path).
-pub(crate) enum CacheRef<'c> {
-    /// Uncached run.
-    None,
-    /// One tenant, exclusive borrow.
-    Exclusive(&'c mut ArtifactCache),
-    /// Many tenants, per-operation locking.
-    Shared(&'c SharedArtifactCache),
-}
-
 /// Applies the uniform cross-cutting machinery around every stage: key
 /// derivation, cache lookup/replay, diagnostics segment capture, hit/miss
 /// accounting, and cancellation polling.
 struct Executor<'c> {
-    cache: CacheRef<'c>,
+    /// The run's cache (`None` for an uncached run).
+    cache: Option<&'c ArtifactCache>,
     cancel: Option<&'c CancelToken>,
     /// Partition label stamped into stored entries (`None` for whole-design
     /// runs). Metadata only: the stage key already separates segments.
@@ -163,7 +151,11 @@ struct Executor<'c> {
 }
 
 impl<'c> Executor<'c> {
-    fn new(cache: CacheRef<'c>, cancel: Option<&'c CancelToken>, segment: Option<&'c str>) -> Self {
+    fn new(
+        cache: Option<&'c ArtifactCache>,
+        cancel: Option<&'c CancelToken>,
+        segment: Option<&'c str>,
+    ) -> Self {
         Executor {
             cache,
             cancel,
@@ -212,65 +204,46 @@ impl<'c> Executor<'c> {
         let key = fp.finish();
 
         let cacheable = stage.cacheable();
-        // Single-flight leadership over `key` while a shared-cache miss
-        // computes; dropped (releasing the key to waiting tenants) if the
-        // stage errors or produces no cacheable payload.
-        let mut lead: Option<InFlightGuard<'_>> = None;
-        if cacheable {
+        // Single-flight leadership over `key` while a cache miss computes;
+        // dropped (releasing the key to waiting runs) if the stage errors.
+        let mut lead = None;
+        if let Some(cache) = self.cache.filter(|_| cacheable) {
             // Disk-layer quarantine events surfaced by the lookup are
             // appended *before* the segment marks below, so they are never
             // captured into (and replayed from) the stage's own segment.
-            match &mut self.cache {
-                CacheRef::None => {}
-                CacheRef::Exclusive(cache) => {
-                    let hit = cache.lookup(key);
-                    ctx.diag.events.extend(cache.take_pending_events());
-                    if let Some(hit) = hit {
-                        ctx.diag.events.extend(hit.events);
-                        ctx.diag.warnings.extend(hit.warnings);
-                        ctx.diag.approx_knn.extend(hit.knn);
-                        self.hits += 1;
-                        self.record(stage, STATUS_REPLAYED);
-                        return Ok((Artifact::from_payload(hit.payload), key));
-                    }
+            match cache.lookup_or_lead(key) {
+                Lookup::Hit(hit, disk_events) => {
+                    ctx.diag.events.extend(disk_events);
+                    ctx.diag.events.extend(hit.events);
+                    ctx.diag.warnings.extend(hit.warnings);
+                    ctx.diag.approx_knn.extend(hit.knn);
+                    self.hits += 1;
+                    self.record(stage, STATUS_REPLAYED);
+                    return Ok((Artifact::from_payload(hit.payload), key));
                 }
-                CacheRef::Shared(shared) => match shared.lookup_or_lead(key) {
-                    SharedLookup::Hit(hit, disk_events) => {
-                        ctx.diag.events.extend(disk_events);
-                        ctx.diag.events.extend(hit.events);
-                        ctx.diag.warnings.extend(hit.warnings);
-                        ctx.diag.approx_knn.extend(hit.knn);
-                        self.hits += 1;
-                        self.record(stage, STATUS_REPLAYED);
-                        return Ok((Artifact::from_payload(hit.payload), key));
-                    }
-                    SharedLookup::Lead(guard, disk_events) => {
-                        ctx.diag.events.extend(disk_events);
-                        lead = Some(guard);
-                    }
-                },
+                Lookup::Lead(guard, disk_events) => {
+                    ctx.diag.events.extend(disk_events);
+                    lead = Some(guard);
+                }
             }
         }
         let ev_mark = ctx.diag.events.len();
         let warn_mark = ctx.diag.warnings.len();
         let knn_mark = ctx.diag.approx_knn.len();
         let artifact = stage.run(ctx, inputs)?;
-        if !matches!(self.cache, CacheRef::None) {
+        if let Some(guard) = lead {
+            if let Some(payload) = artifact.to_payload() {
+                guard.fulfill(CachedArtifact {
+                    payload,
+                    events: ctx.diag.events.get(ev_mark..).unwrap_or(&[]).to_vec(),
+                    warnings: ctx.diag.warnings.get(warn_mark..).unwrap_or(&[]).to_vec(),
+                    knn: ctx.diag.approx_knn.get(knn_mark..).unwrap_or(&[]).to_vec(),
+                    segment: self.segment.map(str::to_string),
+                });
+            }
+        }
+        if self.cache.is_some() {
             if cacheable {
-                if let Some(payload) = artifact.to_payload() {
-                    let entry = CachedArtifact {
-                        payload,
-                        events: ctx.diag.events.get(ev_mark..).unwrap_or(&[]).to_vec(),
-                        warnings: ctx.diag.warnings.get(warn_mark..).unwrap_or(&[]).to_vec(),
-                        knn: ctx.diag.approx_knn.get(knn_mark..).unwrap_or(&[]).to_vec(),
-                        segment: self.segment.map(str::to_string),
-                    };
-                    match (&mut self.cache, lead.take()) {
-                        (CacheRef::Exclusive(cache), _) => cache.store(key, entry),
-                        (CacheRef::Shared(_), Some(guard)) => guard.fulfill(entry),
-                        _ => {}
-                    }
-                }
                 self.misses += 1;
                 self.record(stage, STATUS_COMPUTED);
             } else {
@@ -323,36 +296,15 @@ fn enforce_budget(
 ///
 /// This is the single implementation behind [`crate::CirStag::analyze`]
 /// (`cache = None`), [`crate::CirStag::analyze_cached`], and
-/// [`crate::analyze_sweep`].
+/// [`crate::analyze_partitioned`], which runs one sub-pipeline per
+/// partition and passes its label (`"partition/<id>"`) as `segment` to be
+/// stamped into every artifact the run stores.
 pub(crate) fn run_pipeline(
     config: &CirStagConfig,
     input_graph: &Graph,
     node_features: Option<&DenseMatrix>,
     output_embedding: &DenseMatrix,
-    cache: CacheRef<'_>,
-    cancel: Option<&CancelToken>,
-) -> Result<StabilityReport, CirStagError> {
-    run_pipeline_segmented(
-        config,
-        input_graph,
-        node_features,
-        output_embedding,
-        cache,
-        cancel,
-        None,
-    )
-}
-
-/// [`run_pipeline`] with a partition label stamped into every artifact the
-/// run stores (the partition-scoped driver in [`eco`] runs one sub-pipeline
-/// per partition and labels each segment `"partition/<id>"`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline_segmented(
-    config: &CirStagConfig,
-    input_graph: &Graph,
-    node_features: Option<&DenseMatrix>,
-    output_embedding: &DenseMatrix,
-    cache: CacheRef<'_>,
+    cache: Option<&ArtifactCache>,
     cancel: Option<&CancelToken>,
     segment: Option<&str>,
 ) -> Result<StabilityReport, CirStagError> {

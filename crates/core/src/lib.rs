@@ -57,14 +57,13 @@ mod resilience;
 mod selection;
 
 pub use engine::eco::{
-    analyze_partitioned, analyze_partitioned_cached, analyze_partitioned_cold,
-    analyze_partitioned_shared, EcoCache, EcoReportExport, PartitionExport, PartitionPlan,
-    PartitionRecord, PartitionView, PartitionedReport, SpliceBuffers,
+    analyze_partitioned, EcoReportExport, PartitionExport, PartitionPlan, PartitionRecord,
+    PartitionView, PartitionedReport,
 };
-pub use engine::{ArtifactCache, Fingerprint, Fingerprinter, SharedArtifactCache};
+pub use engine::{ArtifactCache, Fingerprint, Fingerprinter};
 pub use error::CirStagError;
 pub use export::ReportExport;
-pub use pipeline::{analyze_sweep, CirStag, CirStagConfig, PhaseTimings, StabilityReport};
+pub use pipeline::{CirStag, CirStagConfig, PhaseTimings, StabilityReport};
 pub use resilience::{
     ApproxKnnRecord, CancelToken, FailurePolicy, FallbackEvent, RunDiagnostics, StageBudget,
     StageCacheRecord,

@@ -2,10 +2,11 @@
 //!
 //! The phases themselves are implemented as typed stages executed by the
 //! [`crate::engine`] module; this module holds the public configuration,
-//! report types, and the [`CirStag`] entry points ([`CirStag::analyze`],
-//! [`CirStag::analyze_cached`], and the batched [`analyze_sweep`]).
+//! report types, and the [`CirStag`] entry points ([`CirStag::analyze`]
+//! and [`CirStag::analyze_cached`]; the partition-scoped
+//! [`crate::analyze_partitioned`] lives in [`crate::engine::eco`]).
 
-use crate::engine::{self, ArtifactCache, SharedArtifactCache};
+use crate::engine::{self, ArtifactCache};
 use crate::{CancelToken, CirStagError, FailurePolicy, RunDiagnostics, StageBudget};
 use cirstag_embed::{KnnConfig, SpectralConfig};
 use cirstag_graph::Graph;
@@ -215,7 +216,8 @@ impl CirStag {
             input_graph,
             node_features,
             output_embedding,
-            engine::CacheRef::None,
+            None,
+            None,
             None,
         )
     }
@@ -227,33 +229,14 @@ impl CirStag {
     /// [`PhaseTimings::cache_hits`]/[`PhaseTimings::cache_misses`] and
     /// [`RunDiagnostics::cache`] record what was replayed.
     ///
-    /// # Errors
-    ///
-    /// Same as [`CirStag::analyze`]. Cache I/O never fails an analysis.
-    pub fn analyze_cached(
-        &self,
-        input_graph: &Graph,
-        node_features: Option<&DenseMatrix>,
-        output_embedding: &DenseMatrix,
-        cache: &mut ArtifactCache,
-    ) -> Result<StabilityReport, CirStagError> {
-        engine::run_pipeline(
-            &self.config,
-            input_graph,
-            node_features,
-            output_embedding,
-            engine::CacheRef::Exclusive(cache),
-            None,
-        )
-    }
-
-    /// Runs Algorithm 1 against a [`SharedArtifactCache`] — the multi-tenant
-    /// variant of [`CirStag::analyze_cached`] used by `cirstag serve`, where
-    /// many worker threads analyze concurrently against one cache. Stage
-    /// lookups are single-flighted: when two tenants miss the same
+    /// The cache may be shared by any number of concurrent runs (the
+    /// `cirstag serve` workers share one). When two runs miss the same
     /// fingerprint at once, exactly one computes while the others block and
     /// then replay its stored segment, so warm results stay bit-identical to
-    /// the cold run no matter how requests interleave.
+    /// the cold run no matter how runs interleave. A sweep over configs is
+    /// a loop over this call with one cache: artifacts the varying knobs do
+    /// not reach (the Phase-1 embedding and Phase-2 manifolds of a
+    /// `num_eigenpairs` sweep) compute once and replay thereafter.
     ///
     /// `cancel`, when given, is polled at every stage boundary: an explicit
     /// [`CancelToken::cancel`] or an expired deadline stops the run with
@@ -264,12 +247,12 @@ impl CirStag {
     ///
     /// Same as [`CirStag::analyze`], plus [`CirStagError::Cancelled`] when
     /// the token fires. Cache I/O never fails an analysis.
-    pub fn analyze_shared(
+    pub fn analyze_cached(
         &self,
         input_graph: &Graph,
         node_features: Option<&DenseMatrix>,
         output_embedding: &DenseMatrix,
-        cache: &SharedArtifactCache,
+        cache: &ArtifactCache,
         cancel: Option<&CancelToken>,
     ) -> Result<StabilityReport, CirStagError> {
         engine::run_pipeline(
@@ -277,42 +260,11 @@ impl CirStag {
             input_graph,
             node_features,
             output_embedding,
-            engine::CacheRef::Shared(cache),
+            Some(cache),
             cancel,
+            None,
         )
     }
-}
-
-/// Runs a batch of configurations over the same inputs, sharing one
-/// [`ArtifactCache`] so that artifacts unaffected by the varying knobs
-/// (typically the Phase-1 embedding and the Phase-2 manifolds in a
-/// `num_eigenpairs` sweep) are computed once and replayed thereafter.
-///
-/// Reports come back in config order, each carrying its own per-stage
-/// hit/miss counts in [`PhaseTimings`] and [`RunDiagnostics::cache`].
-///
-/// # Errors
-///
-/// Stops at — and returns — the first failing configuration's error.
-pub fn analyze_sweep(
-    input_graph: &Graph,
-    node_features: Option<&DenseMatrix>,
-    output_embedding: &DenseMatrix,
-    configs: &[CirStagConfig],
-    cache: &mut ArtifactCache,
-) -> Result<Vec<StabilityReport>, CirStagError> {
-    let mut reports = Vec::with_capacity(configs.len());
-    for config in configs {
-        reports.push(engine::run_pipeline(
-            config,
-            input_graph,
-            node_features,
-            output_embedding,
-            engine::CacheRef::Exclusive(cache),
-            None,
-        )?);
-    }
-    Ok(reports)
 }
 
 #[cfg(test)]
@@ -498,11 +450,11 @@ mod tests {
         let emb = distorted_embedding(n, 0..5);
         let cs = CirStag::new(small_config());
         let cold = cs.analyze(&g, None, &emb).unwrap();
-        let mut cache = ArtifactCache::new();
-        let first = cs.analyze_cached(&g, None, &emb, &mut cache).unwrap();
+        let cache = ArtifactCache::new();
+        let first = cs.analyze_cached(&g, None, &emb, &cache, None).unwrap();
         assert_eq!(first.timings.cache_hits, 0);
         assert_eq!(first.timings.cache_misses, 5);
-        let warm = cs.analyze_cached(&g, None, &emb, &mut cache).unwrap();
+        let warm = cs.analyze_cached(&g, None, &emb, &cache, None).unwrap();
         assert_eq!(warm.timings.cache_hits, 5);
         assert_eq!(warm.timings.cache_misses, 0);
         for report in [&first, &warm] {
@@ -534,8 +486,15 @@ mod tests {
                 ..small_config()
             })
             .collect();
-        let mut cache = ArtifactCache::new();
-        let reports = analyze_sweep(&g, None, &emb, &configs, &mut cache).unwrap();
+        let cache = ArtifactCache::new();
+        let reports: Vec<StabilityReport> = configs
+            .iter()
+            .map(|cfg| {
+                CirStag::new(*cfg)
+                    .analyze_cached(&g, None, &emb, &cache, None)
+                    .unwrap()
+            })
+            .collect();
         assert_eq!(reports.len(), configs.len());
         // First config computes everything cacheable.
         assert_eq!(reports[0].timings.cache_misses, 5);

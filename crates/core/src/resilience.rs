@@ -206,7 +206,7 @@ pub struct RunDiagnostics {
     pub warnings: Vec<String>,
     /// Per-stage artifact-cache status, in execution order. Empty for
     /// uncached runs ([`crate::CirStag::analyze`]); populated by
-    /// [`crate::CirStag::analyze_cached`] and [`crate::analyze_sweep`].
+    /// [`crate::CirStag::analyze_cached`].
     pub cache: Vec<StageCacheRecord>,
     /// Approximate-kNN diagnostics, one per manifold stage that used an
     /// approximate method; empty when Phase 2 searched exactly.

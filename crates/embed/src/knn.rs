@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 /// Neighbor-search strategy for [`knn_graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KnnMethod {
-    /// Exact all-pairs search, `O(n²·d)`. Use for < ~5k points or in tests.
+    /// Exact all-pairs search, `O(n²·d)`. Use for < ~3k points or in tests.
     Exact,
     /// Approximate search with a forest of random-projection trees
     /// (annoy-style splits on the direction between two random points).
@@ -41,6 +41,23 @@ impl KnnMethod {
             m: p.m,
             ef_construction: p.ef_construction,
             ef_search: p.ef_search,
+        }
+    }
+
+    /// The size-tiered neighbor search for `n` points: exact search up to
+    /// 3000 points, a 6-tree rp-forest (leaf size 48) up to 50,000, and
+    /// [`KnnMethod::hnsw_default`] above, where the rp-forest's candidate
+    /// pools thin out and HNSW is both faster to query and holds its recall.
+    pub fn auto(n: usize) -> KnnMethod {
+        if n > 50_000 {
+            KnnMethod::hnsw_default()
+        } else if n > 3000 {
+            KnnMethod::RpForest {
+                num_trees: 6,
+                leaf_size: 48,
+            }
+        } else {
+            KnnMethod::Exact
         }
     }
 }
@@ -749,6 +766,18 @@ mod tests {
             assert_eq!((ea.u, ea.v), (eb.u, eb.v));
             assert_eq!(ea.weight.to_bits(), eb.weight.to_bits());
         }
+    }
+
+    #[test]
+    fn auto_tiers_by_point_count() {
+        let forest = KnnMethod::RpForest {
+            num_trees: 6,
+            leaf_size: 48,
+        };
+        assert_eq!(KnnMethod::auto(3000), KnnMethod::Exact);
+        assert_eq!(KnnMethod::auto(3001), forest);
+        assert_eq!(KnnMethod::auto(50_000), forest);
+        assert_eq!(KnnMethod::auto(50_001), KnnMethod::hnsw_default());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   gate ([`OverloadGate`]) that forces the BestEffort failure policy
 //!   until the queue drains.
 //! * **Shared caching** — all tenants share one crash-safe
-//!   [`cirstag::SharedArtifactCache`] (single-flight per fingerprint) and
-//!   one [`DesignStore`] memoizing netlist → trained-GNN preparation.
+//!   [`cirstag::ArtifactCache`] (single-flight per fingerprint) and one
+//!   [`DesignStore`] memoizing netlist → trained-GNN preparation.
 //!
 //! The wire protocol lives in [`protocol`]; [`load`] provides the matching
 //! client and load generator used by the CLI, the bench harness, and CI.

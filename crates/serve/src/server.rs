@@ -18,8 +18,8 @@
 //!   panics mid-job is caught at the [`std::panic::catch_unwind`] boundary,
 //!   the client gets a typed `500`, and the supervisor spawns a fresh
 //!   worker — the process never dies with a request on the wire.
-//! - All workers share one [`SharedArtifactCache`] (single-flighted, crash
-//!   safe on disk) and one [`DesignStore`], so identical netlists across
+//! - All workers share one [`ArtifactCache`] (single-flighted, crash safe
+//!   on disk) and one [`DesignStore`], so identical netlists across
 //!   tenants train and analyze once.
 //!
 //! Deadlines: a request's `deadline_ms` becomes a [`CancelToken`] that is
@@ -36,8 +36,8 @@ use crate::protocol::{
 use crate::ServeError;
 use cirstag::failpoint as fail;
 use cirstag::{
-    analyze_partitioned_shared, ArtifactCache, CancelToken, CirStag, CirStagConfig, CirStagError,
-    FailurePolicy, PartitionedReport, SharedArtifactCache, StabilityReport,
+    analyze_partitioned, ArtifactCache, CancelToken, CirStag, CirStagConfig, CirStagError,
+    FailurePolicy, PartitionedReport, StabilityReport,
 };
 use cirstag_circuit::{apply_delta, partition_graph, NetlistDelta, PartitionConfig};
 use cirstag_embed::KnnMethod;
@@ -106,7 +106,7 @@ struct Shared {
     queue: AdmissionQueue<Job>,
     gate: OverloadGate,
     stats: ServerStats,
-    cache: SharedArtifactCache,
+    cache: ArtifactCache,
     designs: DesignStore,
     shutdown: AtomicBool,
     local: SocketAddr,
@@ -169,7 +169,7 @@ impl Server {
             queue: AdmissionQueue::new(config.queue_capacity),
             gate: OverloadGate::new(config.downgrade_high, config.downgrade_low),
             stats: ServerStats::default(),
-            cache: SharedArtifactCache::new(cache),
+            cache,
             designs: DesignStore::new(config.design_capacity),
             shutdown: AtomicBool::new(false),
             local,
@@ -509,7 +509,7 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
                     num_eigenpairs: s,
                     ..config
                 };
-                let report = CirStag::new(cfg).analyze_shared(
+                let report = CirStag::new(cfg).analyze_cached(
                     &design.graph,
                     Some(&design.features),
                     &design.embedding,
@@ -567,7 +567,7 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
             &job.cancel,
         ),
         _ => {
-            let report = CirStag::new(config).analyze_shared(
+            let report = CirStag::new(config).analyze_cached(
                 &design.graph,
                 Some(&design.features),
                 &design.embedding,
@@ -644,7 +644,7 @@ fn handle_delta(
     let Some(features) = outcome.features else {
         return Response::error(req.id, CODE_INTERNAL, "delta lost the feature matrix");
     };
-    let report = analyze_partitioned_shared(
+    let report = analyze_partitioned(
         &config,
         &outcome.graph,
         Some(&features),
@@ -652,7 +652,7 @@ fn handle_delta(
         &partitioning.assignment,
         partitioning.num_partitions,
         partitioning.halo_depth,
-        &shared.cache,
+        Some(&shared.cache),
         Some(cancel),
     );
     match report {
@@ -694,17 +694,7 @@ fn analysis_config(
         },
         ..Default::default()
     };
-    // Neighbor-search tiering mirrors the CLI's `--knn auto` heuristic, with
-    // one extra rung: beyond ~50k pins the rp-forest candidate pools thin out
-    // and the HNSW index is both faster to query and holds its recall.
-    if design.graph.num_nodes() > 50_000 {
-        config.knn.method = KnnMethod::hnsw_default();
-    } else if design.graph.num_nodes() > 3000 {
-        config.knn.method = KnnMethod::RpForest {
-            num_trees: 6,
-            leaf_size: 48,
-        };
-    }
+    config.knn.method = KnnMethod::auto(design.graph.num_nodes());
     if let Some(remaining) = cancel.remaining() {
         // Each stage is individually bounded by what is left of the
         // request's deadline; the token still cancels between stages.

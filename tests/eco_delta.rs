@@ -5,7 +5,7 @@
 //! random sequences of 1–8 small deltas (edge adds/removes/rescales,
 //! per-pin feature drift) through the warm cache — recomputing only the
 //! dirty partitions and their halo — and the final warm report must match
-//! `analyze_partitioned_cold` on the edited design bit for bit. Each step
+//! a cache-less `analyze_partitioned` on the edited design bit for bit. Each step
 //! samples a thread count from {1, 2, 8} (fingerprints exclude the thread
 //! count, so warm hits survive the changes), each case samples the failure
 //! policy, and the disk-cache round-trip is replayed through a fresh
@@ -20,8 +20,7 @@ use cirstag_suite::circuit::{
     FeatureConfig, GeneratorConfig, NetlistDelta, PartitionConfig, Partitioning, TimingGraph,
 };
 use cirstag_suite::core::{
-    analyze_partitioned_cached, analyze_partitioned_cold, ArtifactCache, CirStagConfig,
-    FailurePolicy, PartitionedReport,
+    analyze_partitioned, ArtifactCache, CirStagConfig, FailurePolicy, PartitionedReport,
 };
 use cirstag_suite::graph::Graph;
 use cirstag_suite::linalg::DenseMatrix;
@@ -216,14 +215,14 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
     POLICIES_SEEN.fetch_or(1 << u8::from(best_effort), Ordering::Relaxed);
 
     let disk = tempdir(best_effort, raw_edits.len());
-    let mut cache = ArtifactCache::new().with_disk_dir(&disk);
+    let cache = ArtifactCache::new().with_disk_dir(&disk);
     let assignment = &base.partitioning.assignment;
 
     // Prime the cache on the unedited base design.
     let mut threads = thread_seq.iter().copied().cycle();
     let mut graph = base.graph.clone();
     let mut features = base.features.clone();
-    let prime = analyze_partitioned_cached(
+    let prime = analyze_partitioned(
         &config(threads.next().unwrap_or(1), policy),
         &graph,
         Some(&features),
@@ -231,7 +230,8 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
         assignment,
         NUM_PARTITIONS,
         HALO_DEPTH,
-        &mut cache,
+        Some(&cache),
+        None,
     )
     .expect("prime run on the base design");
     assert_eq!(prime.node_scores.len(), graph.num_nodes());
@@ -252,7 +252,7 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
         graph = outcome.graph;
         features = outcome.features.expect("features survive the delta");
         last_threads = threads.next().unwrap_or(1);
-        warm = analyze_partitioned_cached(
+        warm = analyze_partitioned(
             &config(last_threads, policy),
             &graph,
             Some(&features),
@@ -260,7 +260,8 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
             assignment,
             NUM_PARTITIONS,
             HALO_DEPTH,
-            &mut cache,
+            Some(&cache),
+            None,
         )
         .expect("warm incremental run");
         // Clean partitions replay from cache. `touched_partitions` is the
@@ -283,7 +284,7 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
     // Ground truth: a cold, cache-less run of the edited design at a
     // different thread count than the last warm step.
     let cold_threads = if last_threads == 1 { 2 } else { 1 };
-    let cold = analyze_partitioned_cold(
+    let cold = analyze_partitioned(
         &config(cold_threads, policy),
         &graph,
         Some(&features),
@@ -291,6 +292,8 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
         assignment,
         NUM_PARTITIONS,
         HALO_DEPTH,
+        None,
+        None,
     )
     .expect("cold run on the edited design");
     assert_bit_identical(&warm, &cold);
@@ -298,8 +301,8 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
 
     // Disk round-trip: a fresh in-memory cache over the same directory
     // replays the final design without recomputing anything.
-    let mut rehydrated = ArtifactCache::new().with_disk_dir(&disk);
-    let replay = analyze_partitioned_cached(
+    let rehydrated = ArtifactCache::new().with_disk_dir(&disk);
+    let replay = analyze_partitioned(
         &config(last_threads, policy),
         &graph,
         Some(&features),
@@ -307,7 +310,8 @@ fn run_episode(raw_edits: &[RawEdit], thread_seq: &[usize], best_effort: bool) {
         assignment,
         NUM_PARTITIONS,
         HALO_DEPTH,
-        &mut rehydrated,
+        Some(&rehydrated),
+        None,
     )
     .expect("disk replay of the final design");
     assert_bit_identical(&replay, &cold);

@@ -11,8 +11,7 @@
 //! `num_threads` (results are thread-count independent).
 
 use cirstag_suite::core::{
-    ArtifactCache, CirStag, CirStagConfig, FailurePolicy, FallbackEvent, SharedArtifactCache,
-    StabilityReport,
+    ArtifactCache, CirStag, CirStagConfig, FailurePolicy, FallbackEvent, StabilityReport,
 };
 use cirstag_suite::graph::Graph;
 use cirstag_suite::linalg::DenseMatrix;
@@ -91,8 +90,8 @@ fn assert_bit_identical(cold: &StabilityReport, warm: &StabilityReport) {
     );
 }
 
-/// Two tenants racing on the same fingerprint through a
-/// [`SharedArtifactCache`] must deduplicate single-flight: each cacheable
+/// Two tenants racing on the same fingerprint through one shared
+/// [`ArtifactCache`] must deduplicate single-flight: each cacheable
 /// stage is computed exactly once across both runs (5 misses total), the
 /// other run replays it (5 hits total), and both reports are bit-identical
 /// to a cold, uncached run.
@@ -117,7 +116,7 @@ fn shared_cache_concurrent_tenants_compute_once_and_replay_identically() {
         .analyze(&g, None, &emb)
         .expect("cold reference run");
 
-    let shared = std::sync::Arc::new(SharedArtifactCache::default());
+    let shared = std::sync::Arc::new(ArtifactCache::new());
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
     let mut handles = Vec::new();
     for _ in 0..2 {
@@ -128,7 +127,7 @@ fn shared_cache_concurrent_tenants_compute_once_and_replay_identically() {
         handles.push(std::thread::spawn(move || {
             barrier.wait();
             CirStag::new(config)
-                .analyze_shared(&g, None, &emb, &shared, None)
+                .analyze_cached(&g, None, &emb, &shared, None)
                 .expect("shared run")
         }));
     }
@@ -196,17 +195,17 @@ proptest! {
             scale.to_bits()
         ));
         std::fs::remove_dir_all(&disk).ok();
-        let mut cache = ArtifactCache::new().with_disk_dir(&disk);
+        let cache = ArtifactCache::new().with_disk_dir(&disk);
 
         let warm_first = CirStag::new(base)
-            .analyze_cached(&g, feats, &emb, &mut cache)
+            .analyze_cached(&g, feats, &emb, &cache, None)
             .expect("warm first");
         prop_assert_eq!(warm_first.timings.cache_hits, 0, "first cached run is all misses");
         prop_assert_eq!(warm_first.timings.cache_misses, 5);
         assert_bit_identical(&cold_first, &warm_first);
 
         let warm_second = CirStag::new(second)
-            .analyze_cached(&g, feats, &emb, &mut cache)
+            .analyze_cached(&g, feats, &emb, &cache, None)
             .expect("warm second");
         // Phase-1 embedding and both Phase-2 manifolds replay; the Phase-3
         // geig + dmd stages recompute (unless both configs coincide).
@@ -220,9 +219,9 @@ proptest! {
 
         // A second replay of the same config hits every cacheable stage,
         // even through a fresh cache restored from the disk layer alone.
-        let mut fresh = ArtifactCache::new().with_disk_dir(&disk);
+        let fresh = ArtifactCache::new().with_disk_dir(&disk);
         let replayed = CirStag::new(second)
-            .analyze_cached(&g, feats, &emb, &mut fresh)
+            .analyze_cached(&g, feats, &emb, &fresh, None)
             .expect("disk replay");
         prop_assert_eq!(replayed.timings.cache_hits, 5, "disk layer misses");
         prop_assert_eq!(replayed.timings.cache_misses, 0);

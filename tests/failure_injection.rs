@@ -8,6 +8,18 @@ use cirstag_suite::embed::{knn_graph, spectral_embedding, KnnConfig, SpectralCon
 use cirstag_suite::gnn::{Activation, GnnModel, GraphContext, LayerSpec, TrainConfig};
 use cirstag_suite::graph::Graph;
 use cirstag_suite::linalg::DenseMatrix;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// The failpoint registry (`failpoints` feature) is process-global and the
+/// pipeline consults it on every run, so every test in this file holds this
+/// lock: a failpoint armed in the `failpoints` module never fires inside a
+/// test running beside it.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn ring(n: usize) -> Graph {
     Graph::from_edges(
@@ -19,6 +31,7 @@ fn ring(n: usize) -> Graph {
 
 #[test]
 fn nan_embedding_is_rejected_not_propagated() {
+    let _s = serial();
     let g = ring(10);
     let mut emb = DenseMatrix::zeros(10, 2);
     emb.set(3, 1, f64::NAN);
@@ -30,6 +43,7 @@ fn nan_embedding_is_rejected_not_propagated() {
 
 #[test]
 fn constant_embedding_still_produces_finite_scores() {
+    let _s = serial();
     // A GNN that collapses every node to the same point: kNN distances all
     // hit the ε floor; the pipeline must survive and return finite scores.
     let g = ring(12);
@@ -47,6 +61,7 @@ fn constant_embedding_still_produces_finite_scores() {
 
 #[test]
 fn adversarial_embedding_with_extreme_outlier() {
+    let _s = serial();
     // One node mapped astronomically far away must not destabilize the rest.
     let n = 16;
     let g = ring(n);
@@ -75,6 +90,7 @@ fn adversarial_embedding_with_extreme_outlier() {
 
 #[test]
 fn disconnected_input_graph_is_a_typed_error() {
+    let _s = serial();
     let g = Graph::from_edges(8, &[(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0), (6, 7, 1.0)]).unwrap();
     let emb = DenseMatrix::zeros(8, 2);
     // Spectral embedding itself works on disconnected graphs, but Phase 3
@@ -98,6 +114,7 @@ fn disconnected_input_graph_is_a_typed_error() {
 
 #[test]
 fn truncated_netlist_file_fails_with_line_info() {
+    let _s = serial();
     let lib = CellLibrary::standard();
     let text = ".model broken\n.inputs a b\n.gate NAND2 a b"; // missing output + .end
     let err = parse_netlist(text, &lib).unwrap_err();
@@ -107,6 +124,7 @@ fn truncated_netlist_file_fails_with_line_info() {
 
 #[test]
 fn gnn_divergence_is_reported_not_propagated_as_nan() {
+    let _s = serial();
     // An absurd learning rate should either diverge (typed error) or still
     // yield finite parameters — never silently produce NaN predictions.
     let g = ring(8);
@@ -153,6 +171,7 @@ fn gnn_divergence_is_reported_not_propagated_as_nan() {
 
 #[test]
 fn knn_with_excessive_k_is_rejected() {
+    let _s = serial();
     let pts = DenseMatrix::zeros(5, 2);
     assert!(knn_graph(&pts, 5, &KnnConfig::default()).is_err());
     assert!(knn_graph(&pts, 0, &KnnConfig::default()).is_err());
@@ -160,6 +179,7 @@ fn knn_with_excessive_k_is_rejected() {
 
 #[test]
 fn spectral_embedding_on_single_edge_graph() {
+    let _s = serial();
     // Degenerate two-node graph: the embedding must still be well defined.
     let g = Graph::from_edges(2, &[(0, 1, 1.0)]).unwrap();
     let u = spectral_embedding(&g, 1, &SpectralConfig::default()).unwrap();
@@ -169,6 +189,7 @@ fn spectral_embedding_on_single_edge_graph() {
 
 #[test]
 fn best_effort_without_failures_matches_strict_bitwise() {
+    let _s = serial();
     // The BestEffort policy must be a pure superset: when nothing fails, it
     // takes exactly the same numeric path as Strict (bit-identical scores)
     // and reports a clean run.
@@ -205,6 +226,7 @@ fn best_effort_without_failures_matches_strict_bitwise() {
 
 #[test]
 fn zero_feature_weight_ignores_feature_garbage() {
+    let _s = serial();
     // With feature_weight = 0 the pipeline must not even look at feature
     // values — huge magnitudes are fine.
     let n = 12;
@@ -233,16 +255,19 @@ fn zero_feature_weight_ignores_feature_garbage() {
 
 /// Deterministic failpoint-driven tests: one per fallback-ladder rung.
 ///
-/// The failpoint registry is process-global, so every test here takes a
-/// shared lock, starts from a disarmed registry, and disarms again on drop
-/// (even when the test panics).
+/// The failpoint registry is process-global, so every test here takes the
+/// file's lock (see [`serial`]), starts from a disarmed registry, and
+/// disarms again on drop (even when the test panics).
 #[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;
     use cirstag_suite::core::failpoint as fp;
-    use cirstag_suite::core::{FailurePolicy, ReportExport, StabilityReport, StageBudget};
+    use cirstag_suite::core::{
+        ArtifactCache, FailurePolicy, ReportExport, StabilityReport, StageBudget,
+    };
     use cirstag_suite::solver::{CgOptions, LadderRung, LaplacianSolver};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::{mpsc, Arc, MutexGuard};
+    use std::time::Duration;
 
     struct Serial {
         _guard: MutexGuard<'static, ()>,
@@ -255,11 +280,7 @@ mod failpoints {
     }
 
     fn serial() -> Serial {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = super::serial();
         fp::reset();
         Serial { _guard: guard }
     }
@@ -526,6 +547,54 @@ mod failpoints {
             .unwrap_err();
         assert!(matches!(err, CirStagError::Solver(_)), "got {err:?}");
         assert_eq!(fp::hits("solver/geig"), 1);
+    }
+
+    /// A stage error in a cached run must release its single-flight key and
+    /// keep the stages that finished before it: the rerun on the same cache
+    /// replays Phase 1/2 (3 hits), computes only Phase 3's geig and dmd
+    /// (2 misses), and matches an uncached run bit for bit.
+    #[test]
+    fn failed_cached_run_releases_its_key_and_keeps_finished_stages() {
+        let _s = serial();
+        let g = ring(20);
+        let emb = circle_embedding(20);
+        let analyzer = CirStag::new(cfg(FailurePolicy::Strict));
+        let cache = Arc::new(ArtifactCache::new());
+        fp::arm("solver/geig", fp::FailAction::Error, 1);
+        let err = analyzer
+            .analyze_cached(&g, None, &emb, &cache, None)
+            .unwrap_err();
+        assert!(matches!(err, CirStagError::Solver(_)), "got {err:?}");
+        assert_eq!(fp::hits("solver/geig"), 1);
+
+        // A leaked in-flight key would block the rerun forever, so it runs
+        // on its own thread and a timeout fails the test instead of hanging.
+        let (tx, rx) = mpsc::channel();
+        let rerun_thread = {
+            let (analyzer, g, emb, cache) =
+                (analyzer.clone(), g.clone(), emb.clone(), Arc::clone(&cache));
+            std::thread::spawn(move || {
+                let _ = tx.send(analyzer.analyze_cached(&g, None, &emb, &cache, None));
+            })
+        };
+        let rerun = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("rerun blocked: the failed run leaked its in-flight key")
+            .expect("rerun succeeds once the failpoint is spent");
+        rerun_thread.join().expect("rerun thread panicked");
+        assert_eq!(rerun.timings.cache_hits, 3);
+        assert_eq!(rerun.timings.cache_misses, 2);
+
+        let uncached = analyzer.analyze(&g, None, &emb).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rerun.node_scores), bits(&uncached.node_scores));
+        assert_eq!(bits(&rerun.eigenvalues), bits(&uncached.eigenvalues));
+        assert_eq!(rerun.edge_scores, uncached.edge_scores);
+        assert_eq!(rerun.input_manifold, uncached.input_manifold);
+        assert_eq!(rerun.output_manifold, uncached.output_manifold);
+        assert_eq!(rerun.degraded, uncached.degraded);
+        assert_eq!(rerun.diagnostics.events, uncached.diagnostics.events);
+        assert_eq!(rerun.diagnostics.warnings, uncached.diagnostics.warnings);
     }
 
     // ---- NaN sentinels between phases ------------------------------------

@@ -167,13 +167,13 @@ fn hnsw_pipeline_is_thread_count_and_cache_invariant() {
     let fresh = CirStag::new(hnsw_config(0))
         .analyze(&g, None, &emb)
         .expect("uncached run");
-    let mut cold_cache = ArtifactCache::new().with_disk_dir(&dir);
+    let cold_cache = ArtifactCache::new().with_disk_dir(&dir);
     let cold = CirStag::new(hnsw_config(0))
-        .analyze_cached(&g, None, &emb, &mut cold_cache)
+        .analyze_cached(&g, None, &emb, &cold_cache, None)
         .expect("cold cached run");
-    let mut warm_cache = ArtifactCache::new().with_disk_dir(&dir);
+    let warm_cache = ArtifactCache::new().with_disk_dir(&dir);
     let warm = CirStag::new(hnsw_config(0))
-        .analyze_cached(&g, None, &emb, &mut warm_cache)
+        .analyze_cached(&g, None, &emb, &warm_cache, None)
         .expect("warm cached run");
     let _ = std::fs::remove_dir_all(&dir);
 
