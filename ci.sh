@@ -1,25 +1,13 @@
 #!/usr/bin/env sh
 # CI gate for the CirSTAG workspace. Fully offline; fails on the first error.
-#
-# Flags:
-#   --bench-gate   additionally run the benchmark regression gate: a fresh
-#                  bench_parallel run is compared stage-by-stage against the
-#                  committed BENCH_parallel.json and the script fails if any
-#                  stage regresses by more than 25% (+0.5 ms slack). Off by
-#                  default because wall-clock numbers are machine-dependent;
-#                  enable it on the reference box that produced the snapshot.
+# Takes no arguments. Performance is measured by perfbench (BENCHMARK.json),
+# not here.
 set -eu
 
-BENCH_GATE=0
-for arg in "$@"; do
-    case "$arg" in
-    --bench-gate) BENCH_GATE=1 ;;
-    *)
-        echo "ci.sh: unknown flag '$arg' (supported: --bench-gate)" >&2
-        exit 2
-        ;;
-    esac
-done
+if [ "$#" -gt 0 ]; then
+    echo "ci.sh: takes no arguments (got '$*')" >&2
+    exit 2
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -59,17 +47,9 @@ echo "==> benchmark package (perfbench builds against the public API and passes 
 # public-API break would first show up when the benchmark is run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> simd feature (AVX2 kernels: clippy clean, bit-identical to scalar)"
-# The only unsafe code in the workspace lives behind this off-by-default
-# feature; tests/simd_parity.rs pins bitwise agreement with the scalar
-# kernels (and is a no-op on hosts without AVX2, where the dispatchers
-# fall back to the scalar loops).
-cargo clippy -p cirstag-linalg --features simd --all-targets -- -D warnings
-cargo test -q -p cirstag-linalg --features simd
-
 echo "==> serve smoke test (daemon + 50-request load, zero dropped connections)"
-# The CLI is only a dev-dependency of the root package, so the workspace
-# build above does not refresh its binary.
+# The serial build above left a --no-default-features CLI binary behind;
+# rebuild it with default features.
 cargo build --release -p cirstag-cli
 SMOKE_DIR="$CI_TMP/smoke"
 mkdir -p "$SMOKE_DIR"
@@ -141,10 +121,5 @@ awk -v warm="$WARM_MS" -v cold="$COLD_MS" 'BEGIN {
         exit 1
     }
 }'
-
-if [ "$BENCH_GATE" -eq 1 ]; then
-    echo "==> bench gate (fresh run vs committed BENCH_parallel.json)"
-    cargo run -q -p cirstag-bench --release --bin bench_parallel -- --gate
-fi
 
 echo "CI OK"

@@ -2,9 +2,10 @@
 //! Table II, Figs. 3–5) plus ablations.
 //!
 //! The binaries under `src/bin/` drive these harnesses and print the same
-//! rows/series the paper reports; `benches/` holds criterion micro- and
-//! end-to-end benchmarks. See `DESIGN.md` (experiment index) and
-//! `EXPERIMENTS.md` (paper-vs-measured) at the workspace root.
+//! rows/series the paper reports. Performance is measured by the separate
+//! `perfbench/` package, end to end and per layer. See `DESIGN.md`
+//! (experiment index) and `EXPERIMENTS.md` (paper-vs-measured) at the
+//! workspace root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

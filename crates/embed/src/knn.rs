@@ -444,9 +444,7 @@ fn rp_forest_knn(
 }
 
 /// Scores `cand` against point `p` and sorts ascending by
-/// `(squared distance, id)`. Distances go 4-at-a-time through
-/// [`vecops::dist2_sq4`] so the AVX2 kernel (when the `simd` feature is on)
-/// accelerates the inner loop bit-identically.
+/// `(squared distance, id)`.
 fn rank_candidates(points: &DenseMatrix, p: usize, cand: &[usize]) -> Vec<(usize, f64)> {
     let rp = points.row(p);
     let mut dists: Vec<(usize, f64)> = Vec::with_capacity(cand.len());

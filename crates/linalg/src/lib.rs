@@ -25,12 +25,7 @@
 //! # }
 //! ```
 
-// `unsafe` is banned outright in the default build. The `simd` feature
-// relaxes the ban to `deny` so the `simd` module alone can carry scoped
-// `#[allow(unsafe_code)]` for its AVX2 intrinsics; every such block is
-// required (and lint-checked) to carry a `// SAFETY:` rationale.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
@@ -39,8 +34,6 @@ mod error;
 pub mod fail;
 pub mod par;
 mod qr;
-#[cfg(feature = "simd")]
-mod simd;
 mod sparse;
 mod symeig;
 mod tridiag;

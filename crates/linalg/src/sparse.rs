@@ -20,14 +20,7 @@ const SPMV_PAR_NNZ_THRESHOLD: usize = 16 * 1024;
 const SPMV_ROW_CHUNK: usize = 256;
 
 /// `dst[j] += v * src[j]`: the panel kernel's per-nonzero strip update.
-/// With the `simd` feature enabled (and AVX2 present at runtime) the
-/// 4-wide path performs the identical per-element multiply-then-add (no
-/// FMA), so results stay bit-identical to this scalar loop.
 fn strip_axpy(v: f64, src: &[f64], dst: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    if crate::simd::axpy(v, src, dst) {
-        return;
-    }
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += v * s;
     }
@@ -379,22 +372,8 @@ impl CsrMatrix {
     }
 
     /// Computes output rows `base..base + out.len()` of the product.
-    /// Shared by the serial and parallel spmv paths. With the `simd`
-    /// feature enabled (and AVX2 present at runtime) this takes the 4-row
-    /// vectorized fast path, which is bit-identical to the scalar loop by
-    /// construction: each SIMD lane replays one row's scalar left-to-right
-    /// accumulation, multiply then add, no FMA.
+    /// Shared by the serial and parallel spmv paths.
     fn mul_vec_rows(&self, base: usize, x: &[f64], out: &mut [f64]) {
-        #[cfg(feature = "simd")]
-        if crate::simd::spmv_rows(
-            &self.row_ptr[base..base + out.len() + 1],
-            &self.col_idx,
-            &self.values,
-            x,
-            out,
-        ) {
-            return;
-        }
         for (off, slot) in out.iter_mut().enumerate() {
             *slot = self.mul_vec_row(base + off, x);
         }

@@ -66,20 +66,13 @@ pub fn dist2_sq(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Squared Euclidean distances from `a` to four candidate rows at once —
-/// the kNN distance inner loop. Lane `l` replays [`dist2_sq`]'s scalar
-/// accumulation for `b[l]` exactly (left to right, `(x − y)·(x − y)` then
-/// add, no FMA), so the result is bit-identical to four scalar calls
-/// whether or not the AVX2 fast path (behind the `simd` feature) runs.
+/// the kNN distance inner loop. Bit-identical to four [`dist2_sq`] calls.
 ///
 /// # Panics
 ///
 /// Panics if any candidate's length differs from `a`'s.
 #[inline]
 pub fn dist2_sq4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
-    #[cfg(feature = "simd")]
-    if let Some(out) = crate::simd::dist2_sq4(a, b) {
-        return out;
-    }
     let [b0, b1, b2, b3] = b;
     [
         dist2_sq(a, b0),

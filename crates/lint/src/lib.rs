@@ -23,6 +23,8 @@
 //! Run it as `cargo run -p cirstag-lint` (human output + `LINT_REPORT.json`)
 //! or embed via [`run_lint`].
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod locks;
 pub mod report;

@@ -779,160 +779,6 @@ where
     Ok(())
 }
 
-/// Outcome of a block conjugate-gradient solve.
-#[derive(Debug, Clone)]
-pub struct BlockCgResult {
-    /// Solution panel, one column per right-hand side.
-    pub x: DenseMatrix,
-    /// Per-column convergence summaries.
-    pub columns: Vec<CgStats>,
-}
-
-/// A conjugate-gradient driver that owns its scratch workspace.
-///
-/// Wraps the free functions so repeated solves (scalar or blocked) reuse one
-/// [`SolverWorkspace`]: after the first solve warms the pool, steady-state
-/// iterations perform zero heap allocations.
-///
-/// # Example
-///
-/// ```
-/// use cirstag_linalg::CsrMatrix;
-/// use cirstag_solver::{CgOptions, CgSolver, CsrOperator, IdentityPreconditioner};
-///
-/// # fn main() -> Result<(), cirstag_solver::SolverError> {
-/// let m = CsrMatrix::from_diagonal(&[2.0, 4.0]);
-/// let op = CsrOperator::new(&m);
-/// let mut solver = CgSolver::new(CgOptions::default());
-/// let result = solver.solve(&op, &[2.0, 4.0], &IdentityPreconditioner)?;
-/// assert!(result.converged);
-/// assert!((result.x[0] - 1.0).abs() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default)]
-pub struct CgSolver {
-    options: CgOptions,
-    workspace: SolverWorkspace,
-}
-
-impl CgSolver {
-    /// Creates a solver with the given options and an empty workspace.
-    pub fn new(options: CgOptions) -> Self {
-        CgSolver {
-            options,
-            workspace: SolverWorkspace::new(),
-        }
-    }
-
-    /// The options every solve uses.
-    pub fn options(&self) -> CgOptions {
-        self.options
-    }
-
-    /// Read access to the scratch workspace (e.g. to assert on
-    /// [`SolverWorkspace::misses`] in allocation-discipline tests).
-    pub fn workspace(&self) -> &SolverWorkspace {
-        &self.workspace
-    }
-
-    /// Solves `A x = b`, allocating the solution vector.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`conjugate_gradient`].
-    pub fn solve<A, M>(
-        &mut self,
-        a: &A,
-        b: &[f64],
-        preconditioner: &M,
-    ) -> Result<CgResult, SolverError>
-    where
-        A: LinearOperator + ?Sized,
-        M: Preconditioner + ?Sized,
-    {
-        let mut x = vec![0.0; a.dim()];
-        let stats = self.solve_into(a, b, preconditioner, &mut x)?;
-        Ok(CgResult {
-            x,
-            iterations: stats.iterations,
-            residual_norm: stats.residual_norm,
-            converged: stats.converged,
-        })
-    }
-
-    /// Solves `A x = b` into a caller-provided vector; allocation-free once
-    /// the workspace is warm.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`conjugate_gradient_into`].
-    pub fn solve_into<A, M>(
-        &mut self,
-        a: &A,
-        b: &[f64],
-        preconditioner: &M,
-        x: &mut [f64],
-    ) -> Result<CgStats, SolverError>
-    where
-        A: LinearOperator + ?Sized,
-        M: Preconditioner + ?Sized,
-    {
-        conjugate_gradient_into(a, b, preconditioner, self.options, x, &mut self.workspace)
-    }
-
-    /// Solves `A X = B` for all columns of `B` in lockstep, allocating the
-    /// solution panel. See [`conjugate_gradient_block_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`conjugate_gradient_block_into`].
-    pub fn solve_block<A, M>(
-        &mut self,
-        a: &A,
-        b: &DenseMatrix,
-        preconditioner: &M,
-    ) -> Result<BlockCgResult, SolverError>
-    where
-        A: PanelOperator + ?Sized,
-        M: Preconditioner + ?Sized,
-    {
-        let mut x = DenseMatrix::zeros(b.nrows(), b.ncols());
-        let mut columns = Vec::with_capacity(b.ncols());
-        self.solve_block_into(a, b, preconditioner, &mut x, &mut columns)?;
-        Ok(BlockCgResult { x, columns })
-    }
-
-    /// Solves `A X = B` into caller-provided storage; allocation-free once
-    /// the workspace and `stats` capacity are warm.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`conjugate_gradient_block_into`].
-    pub fn solve_block_into<A, M>(
-        &mut self,
-        a: &A,
-        b: &DenseMatrix,
-        preconditioner: &M,
-        x: &mut DenseMatrix,
-        stats: &mut Vec<CgStats>,
-    ) -> Result<(), SolverError>
-    where
-        A: PanelOperator + ?Sized,
-        M: Preconditioner + ?Sized,
-    {
-        conjugate_gradient_block_into(
-            a,
-            b,
-            preconditioner,
-            self.options,
-            x,
-            stats,
-            &mut self.workspace,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1126,6 +972,21 @@ mod tests {
         CsrMatrix::from_triplets(n, n, &trips).unwrap()
     }
 
+    /// Block CG into freshly allocated storage: the solution panel and the
+    /// per-column stats.
+    fn solve_block<M: Preconditioner + ?Sized>(
+        op: &CsrOperator<'_>,
+        b: &DenseMatrix,
+        pre: &M,
+        options: CgOptions,
+        ws: &mut SolverWorkspace,
+    ) -> Result<(DenseMatrix, Vec<CgStats>), SolverError> {
+        let mut x = DenseMatrix::zeros(b.nrows(), b.ncols());
+        let mut stats = Vec::new();
+        conjugate_gradient_block_into(op, b, pre, options, &mut x, &mut stats, ws)?;
+        Ok((x, stats))
+    }
+
     #[test]
     fn block_cg_columns_are_bit_identical_to_scalar_cg() {
         let m = laplacian_like();
@@ -1144,24 +1005,25 @@ mod tests {
         // Include a zero column and a trivially-converged column.
         cols[3].iter_mut().for_each(|v| *v = 0.0);
         let b = DenseMatrix::from_columns(&cols).unwrap();
-        let mut solver = CgSolver::new(CgOptions {
+        let opts = CgOptions {
             tol: 1e-10,
             max_iter: 200,
-        });
-        let block = solver.solve_block(&op, &b, &pre).unwrap();
-        assert_eq!(block.columns.len(), k);
+        };
+        let mut ws = SolverWorkspace::new();
+        let (x, columns) = solve_block(&op, &b, &pre, opts, &mut ws).unwrap();
+        assert_eq!(columns.len(), k);
         for (j, col) in cols.iter().enumerate() {
-            let scalar = conjugate_gradient(&op, col, &pre, solver.options()).unwrap();
-            assert_eq!(block.columns[j].iterations, scalar.iterations, "col {j}");
-            assert_eq!(block.columns[j].converged, scalar.converged, "col {j}");
+            let scalar = conjugate_gradient(&op, col, &pre, opts).unwrap();
+            assert_eq!(columns[j].iterations, scalar.iterations, "col {j}");
+            assert_eq!(columns[j].converged, scalar.converged, "col {j}");
             assert_eq!(
-                block.columns[j].residual_norm.to_bits(),
+                columns[j].residual_norm.to_bits(),
                 scalar.residual_norm.to_bits(),
                 "col {j}"
             );
             for i in 0..n {
                 assert_eq!(
-                    block.x.get(i, j).to_bits(),
+                    x.get(i, j).to_bits(),
                     scalar.x[i].to_bits(),
                     "col {j}, row {i}"
                 );
@@ -1169,10 +1031,10 @@ mod tests {
         }
         // Partitioning invariance: solving a sub-panel gives the same columns.
         let sub = DenseMatrix::from_columns(&cols[1..3]).unwrap();
-        let sub_res = solver.solve_block(&op, &sub, &pre).unwrap();
+        let (sub_x, _) = solve_block(&op, &sub, &pre, opts, &mut ws).unwrap();
         for (jj, j) in (1..3).enumerate() {
             for i in 0..n {
-                assert_eq!(sub_res.x.get(i, jj).to_bits(), block.x.get(i, j).to_bits());
+                assert_eq!(sub_x.get(i, jj).to_bits(), x.get(i, j).to_bits());
             }
         }
     }
@@ -1193,16 +1055,15 @@ mod tests {
             tol: 1e-14,
             max_iter: 2,
         };
-        let mut solver = CgSolver::new(opts);
-        let block = solver.solve_block(&op, &b, &pre).unwrap();
-        assert!(!block.columns[0].converged);
-        assert_eq!(block.columns[0].iterations, 2);
-        assert!(block.columns[1].converged);
-        assert_eq!(block.columns[1].iterations, 0);
+        let (x, columns) = solve_block(&op, &b, &pre, opts, &mut SolverWorkspace::new()).unwrap();
+        assert!(!columns[0].converged);
+        assert_eq!(columns[0].iterations, 2);
+        assert!(columns[1].converged);
+        assert_eq!(columns[1].iterations, 0);
         // The starved column still matches its scalar twin bitwise.
         let scalar = conjugate_gradient(&op, &hard, &pre, opts).unwrap();
         for i in 0..n {
-            assert_eq!(block.x.get(i, 0).to_bits(), scalar.x[i].to_bits());
+            assert_eq!(x.get(i, 0).to_bits(), scalar.x[i].to_bits());
         }
     }
 
@@ -1211,30 +1072,32 @@ mod tests {
         let m = spd_matrix();
         let op = CsrOperator::new(&m);
         let b = DenseMatrix::zeros(4, 2);
-        let mut solver = CgSolver::new(CgOptions::default());
+        let opts = CgOptions::default();
+        let mut ws = SolverWorkspace::new();
         assert!(matches!(
-            solver.solve_block(&op, &b, &IdentityPreconditioner),
+            solve_block(&op, &b, &IdentityPreconditioner, opts, &mut ws),
             Err(SolverError::DimensionMismatch { .. })
         ));
         let good_b = DenseMatrix::zeros(3, 2);
         let mut bad_x = DenseMatrix::zeros(3, 1);
         let mut stats = Vec::new();
         assert!(matches!(
-            solver.solve_block_into(
+            conjugate_gradient_block_into(
                 &op,
                 &good_b,
                 &IdentityPreconditioner,
+                opts,
                 &mut bad_x,
-                &mut stats
+                &mut stats,
+                &mut ws
             ),
             Err(SolverError::DimensionMismatch { .. })
         ));
         // Empty panel is a no-op.
         let empty = DenseMatrix::zeros(3, 0);
-        let res = solver
-            .solve_block(&op, &empty, &IdentityPreconditioner)
-            .unwrap();
-        assert!(res.columns.is_empty());
+        let (_, columns) =
+            solve_block(&op, &empty, &IdentityPreconditioner, opts, &mut ws).unwrap();
+        assert!(columns.is_empty());
     }
 
     #[test]

@@ -46,9 +46,8 @@ mod tree_precond;
 mod workspace;
 
 pub use cg::{
-    conjugate_gradient, conjugate_gradient_block_into, conjugate_gradient_into, BlockCgResult,
-    CgOptions, CgResult, CgSolver, CgStats, IdentityPreconditioner, JacobiPreconditioner,
-    Preconditioner,
+    conjugate_gradient, conjugate_gradient_block_into, conjugate_gradient_into, CgOptions,
+    CgResult, CgStats, IdentityPreconditioner, JacobiPreconditioner, Preconditioner,
 };
 pub use error::SolverError;
 pub use geig::{
