@@ -15,6 +15,15 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy (serial: --no-default-features)"
+cargo clippy --workspace --no-default-features -- -D warnings
+
+echo "==> cargo clippy (failpoints, all targets)"
+cargo clippy --workspace --features failpoints --all-targets -- -D warnings
+
+echo "==> rustdoc (warnings are errors: broken, private or ambiguous doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cirstag-lint (repo rules, waivers need reasons, committed report fresh)"
 # The report is written to a scratch path and compared against the committed
 # LINT_REPORT.json, so a stale snapshot fails CI instead of being silently

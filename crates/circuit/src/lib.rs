@@ -53,6 +53,6 @@ pub use partition::{
     Partitioning, MIN_PARTITION_NODES,
 };
 pub use perturb::{perturb_pin_caps, CapPerturbation};
-pub use simulate::{functional_agreement, simulate, simulate_outputs};
+pub use simulate::simulate;
 pub use sta::StaEngine;
 pub use timing_graph::{PinId, PinInfo, PinRole, TimingGraph};

@@ -214,35 +214,6 @@ impl Partitioning {
             .collect()
     }
 
-    /// Halo ring of partition `pid` over `graph`: every node within
-    /// `halo_depth` hops of an owned node that is not itself owned,
-    /// ascending.
-    pub fn halo_nodes(&self, graph: &Graph, pid: u32) -> Vec<usize> {
-        let n = self.assignment.len();
-        let mut depth = vec![usize::MAX; n];
-        let mut frontier: Vec<usize> = self.owned_nodes(pid);
-        for &u in &frontier {
-            depth[u] = 0;
-        }
-        let mut halo = Vec::new();
-        for ring in 1..=self.halo_depth {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for (v, _w) in graph.neighbors(u) {
-                    if depth[v] == usize::MAX {
-                        depth[v] = ring;
-                        next.push(v);
-                        halo.push(v);
-                    }
-                }
-            }
-            next.sort_unstable();
-            frontier = next;
-        }
-        halo.sort_unstable();
-        halo
-    }
-
     /// Partitions whose owned-plus-halo subgraph contains any node of
     /// `touched` (sorted, deduplicated partition ids). BFS runs over
     /// `graph`, which must still contain every edge the delta removes —
@@ -719,26 +690,6 @@ mod tests {
             .validate(36),
             Err(CircuitError::InvalidArgument { .. })
         ));
-    }
-
-    #[test]
-    fn halo_ring_is_adjacent_and_disjoint() {
-        let g = grid(10);
-        let p = partition_graph(&g, &config(4)).unwrap();
-        for pid in 0..4u32 {
-            let owned = p.owned_nodes(pid);
-            let halo = p.halo_nodes(&g, pid);
-            for &h in &halo {
-                assert_ne!(p.assignment[h], pid, "halo node owned by its own partition");
-                assert!(
-                    g.neighbors(h).any(|(v, _)| p.assignment[v] == pid),
-                    "depth-1 halo node {h} not adjacent to partition {pid}"
-                );
-            }
-            for &o in &owned {
-                assert!(halo.binary_search(&o).is_err());
-            }
-        }
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //!
 //! Evaluates a validated netlist on explicit input assignments — the
 //! functional ground truth used to verify that generated sub-circuits
-//! (adders, comparators, …) actually compute their advertised functions,
-//! and to compare designs before and after topology perturbations.
+//! (adders, comparators, …) actually compute their advertised functions.
 
 use crate::{CellLibrary, CircuitError, Netlist};
-use std::collections::HashMap;
 
 /// Evaluates `netlist` with the given primary-input assignment and returns
 /// the value of every net.
@@ -46,91 +44,6 @@ pub fn simulate(
     Ok(values)
 }
 
-/// Evaluates the netlist and returns only the primary-output values, in
-/// `primary_outputs` order.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_outputs(
-    netlist: &Netlist,
-    library: &CellLibrary,
-    inputs: &[bool],
-) -> Result<Vec<bool>, CircuitError> {
-    let values = simulate(netlist, library, inputs)?;
-    Ok(netlist.primary_outputs.iter().map(|&n| values[n]).collect())
-}
-
-/// Exhaustively compares two netlists with identical primary-input counts on
-/// all `2^k` assignments (capped at `max_inputs` to keep this tractable) and
-/// returns the fraction of (assignment, output) pairs that agree — `1.0`
-/// means functionally equivalent on the sampled space.
-///
-/// Output correspondence is by *net name* intersection, so designs that
-/// renumber nets still compare meaningfully.
-///
-/// # Errors
-///
-/// - [`CircuitError::InvalidArgument`] when input counts differ or exceed
-///   `max_inputs` (exhaustive comparison would explode).
-/// - Propagates simulation failures.
-pub fn functional_agreement(
-    a: &Netlist,
-    b: &Netlist,
-    library: &CellLibrary,
-    max_inputs: usize,
-) -> Result<f64, CircuitError> {
-    let k = a.primary_inputs.len();
-    if b.primary_inputs.len() != k {
-        return Err(CircuitError::InvalidArgument {
-            reason: format!("input counts differ: {k} vs {}", b.primary_inputs.len()),
-        });
-    }
-    // Cap at 63 regardless of the caller's limit: `1u64 << 64` would be a
-    // masked shift in release builds and silently compare a single pattern.
-    if k > max_inputs.min(63) {
-        return Err(CircuitError::InvalidArgument {
-            reason: format!(
-                "{k} inputs exceed the exhaustive cap of {}",
-                max_inputs.min(63)
-            ),
-        });
-    }
-    // Shared output names.
-    let names_a: HashMap<&str, usize> = a
-        .primary_outputs
-        .iter()
-        .map(|&n| (a.nets[n].name.as_str(), n))
-        .collect();
-    let shared: Vec<(&str, usize, usize)> = b
-        .primary_outputs
-        .iter()
-        .filter_map(|&nb| {
-            let name = b.nets[nb].name.as_str();
-            names_a.get(name).map(|&na| (name, na, nb))
-        })
-        .collect();
-    if shared.is_empty() {
-        return Err(CircuitError::InvalidArgument {
-            reason: "netlists share no output names".to_string(),
-        });
-    }
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for pattern in 0..(1u64 << k) {
-        let inputs: Vec<bool> = (0..k).map(|i| (pattern >> i) & 1 == 1).collect();
-        let va = simulate(a, library, &inputs)?;
-        let vb = simulate(b, library, &inputs)?;
-        for &(_, na, nb) in &shared {
-            total += 1;
-            if va[na] == vb[nb] {
-                agree += 1;
-            }
-        }
-    }
-    Ok(agree as f64 / total.max(1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,10 +76,11 @@ mod tests {
             let a = pattern & 1 == 1;
             let b = (pattern >> 1) & 1 == 1;
             let cin = (pattern >> 2) & 1 == 1;
-            let outs = simulate_outputs(&n, &lib, &[a, b, cin]).unwrap();
+            let values = simulate(&n, &lib, &[a, b, cin]).unwrap();
+            let (sum, cout) = (n.primary_outputs[0], n.primary_outputs[1]);
             let expect = a as u32 + b as u32 + cin as u32;
-            assert_eq!(outs[0], expect & 1 == 1, "sum for pattern {pattern}");
-            assert_eq!(outs[1], expect >= 2, "cout for pattern {pattern}");
+            assert_eq!(values[sum], expect & 1 == 1, "sum for pattern {pattern}");
+            assert_eq!(values[cout], expect >= 2, "cout for pattern {pattern}");
         }
     }
 
@@ -177,37 +91,17 @@ mod tests {
     }
 
     #[test]
-    fn netlist_is_self_equivalent() {
-        let (lib, n) = full_adder();
-        assert_eq!(functional_agreement(&n, &n, &lib, 8).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn inequivalent_designs_detected() {
-        let (lib, fa) = full_adder();
-        // A broken variant: sum gate replaced by XNOR.
-        let mut broken = fa.clone();
-        broken.cells[1].cell = lib.by_kind(CellKind::Xnor2).unwrap();
-        let agreement = functional_agreement(&fa, &broken, &lib, 8).unwrap();
-        assert!(agreement < 1.0);
-        // Only the sum output flips; cout still agrees → agreement = 0.5.
-        assert!((agreement - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exhaustive_cap_enforced() {
-        let (lib, n) = full_adder();
-        assert!(functional_agreement(&n, &n, &lib, 2).is_err());
-    }
-
-    #[test]
     fn feedthrough_outputs_follow_inputs() {
         let lib = CellLibrary::standard();
         let mut n = Netlist::new("wire");
         let a = n.add_net("a", 0.001);
         n.primary_inputs = vec![a];
         n.primary_outputs = vec![a];
-        assert_eq!(simulate_outputs(&n, &lib, &[true]).unwrap(), vec![true]);
-        assert_eq!(simulate_outputs(&n, &lib, &[false]).unwrap(), vec![false]);
+        let outputs = |inputs: &[bool]| -> Vec<bool> {
+            let values = simulate(&n, &lib, inputs).unwrap();
+            n.primary_outputs.iter().map(|&o| values[o]).collect()
+        };
+        assert_eq!(outputs(&[true]), vec![true]);
+        assert_eq!(outputs(&[false]), vec![false]);
     }
 }

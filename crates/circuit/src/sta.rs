@@ -154,117 +154,6 @@ impl StaEngine {
         self.critical
     }
 
-    /// Incrementally re-times the design after a pin-capacitance change,
-    /// recomputing only the affected cone: loads of drivers whose nets touch
-    /// a changed pin, then arrivals propagated with a worklist in
-    /// topological order, cut off where values stop moving.
-    ///
-    /// Produces results identical (to fp round-off) to a fresh
-    /// [`StaEngine::with_caps`]; the payoff is asymptotic — a localized
-    /// change re-touches a small downstream cone instead of every pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_caps.len() != timing.num_pins()`.
-    pub fn retime_with_caps(&self, timing: &TimingGraph, new_caps: &[f64]) -> StaEngine {
-        assert_eq!(
-            new_caps.len(),
-            timing.num_pins(),
-            "capacitance vector length mismatch"
-        );
-        let n = timing.num_pins();
-        // 1. Which pins changed capacitance?
-        let changed_pins: Vec<usize> = (0..n)
-            .filter(|&p| new_caps[p] != self.pin_caps[p])
-            .collect();
-        if changed_pins.is_empty() {
-            return self.clone();
-        }
-        // 2. Recompute loads only for drivers of nets touching changed pins,
-        //    and collect the pins whose incoming arc delays changed: the
-        //    sinks of those nets (net-arc delay depends on the sink cap) and
-        //    the cells whose output load changed (cell-arc delay).
-        let mut loads = self.loads.clone();
-        let mut dirty = vec![false; n];
-        let mut worklist: Vec<usize> = Vec::new();
-        let mut nets: Vec<usize> = changed_pins.iter().map(|&p| timing.pin(p).net).collect();
-        nets.sort_unstable();
-        nets.dedup();
-        for &net in &nets {
-            let driver = timing.net_driver_pin(net);
-            let mut load = timing.wire_cap(net);
-            for &s in timing.net_sink_pins(net) {
-                load += new_caps[s];
-            }
-            loads[driver] = load;
-            // Net arcs into each sink re-evaluate (sink cap may have moved).
-            for &s in timing.net_sink_pins(net) {
-                if !dirty[s] {
-                    dirty[s] = true;
-                    worklist.push(s);
-                }
-            }
-            // The driving cell's output-arc delay changed with its load.
-            if let crate::PinRole::CellOutput { .. } = timing.pin(driver).role {
-                if !dirty[driver] {
-                    dirty[driver] = true;
-                    worklist.push(driver);
-                }
-            }
-        }
-        // 3. Propagate in topological order with early cut-off.
-        let mut arrivals = self.arrivals.clone();
-        let mut rank = vec![0usize; n];
-        for (r, &p) in timing.topological_order().iter().enumerate() {
-            rank[p] = r;
-        }
-        let drive = &self.drive_scale;
-        // Simple ordered worklist: sort pending pins by topological rank and
-        // sweep; newly-dirtied pins are always downstream of the sweep
-        // position, so one pass with a binary-heap suffices.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, usize)>> = worklist
-            .iter()
-            .map(|&p| std::cmp::Reverse((rank[p], p)))
-            .collect();
-        let mut processed = vec![false; n];
-        while let Some(std::cmp::Reverse((_, p))) = heap.pop() {
-            if processed[p] {
-                continue;
-            }
-            processed[p] = true;
-            let mut best: f64 = 0.0;
-            for &ai in timing.fanin_arcs(p) {
-                let (from, _, _) = timing.arcs()[ai];
-                let delay = arc_delay(timing, ai, &loads, new_caps, drive);
-                best = best.max(arrivals[from] + delay);
-            }
-            if timing.fanin_arcs(p).is_empty() {
-                best = arrivals[p]; // sources keep their arrival (0.0)
-            }
-            if (best - arrivals[p]).abs() > 1e-15 {
-                arrivals[p] = best;
-                for &ai in timing.fanout_arcs(p) {
-                    let to = timing.arcs()[ai].1;
-                    if !processed[to] {
-                        heap.push(std::cmp::Reverse((rank[to], to)));
-                    }
-                }
-            }
-        }
-        let critical = timing
-            .po_pins()
-            .iter()
-            .map(|&p| arrivals[p])
-            .fold(0.0f64, f64::max);
-        StaEngine {
-            arrivals,
-            critical,
-            loads,
-            pin_caps: new_caps.to_vec(),
-            drive_scale: self.drive_scale.clone(),
-        }
-    }
-
     /// Slack at each pin against the critical arrival used as the required
     /// time at every primary output (zero-slack convention for the worst
     /// path).
@@ -410,69 +299,6 @@ mod tests {
         // On a pure chain every pin is on the critical path.
         for (p, &s) in slacks.iter().enumerate() {
             assert!(s.abs() < 1e-9, "pin {p} slack {s}");
-        }
-    }
-
-    #[test]
-    fn incremental_retiming_matches_full_sta() {
-        let lib = CellLibrary::standard();
-        let netlist = crate::generate_circuit(
-            &lib,
-            &crate::GeneratorConfig {
-                num_gates: 200,
-                ..Default::default()
-            },
-            13,
-        )
-        .unwrap();
-        let tg = TimingGraph::new(&netlist, &lib).unwrap();
-        let base = StaEngine::new(&tg);
-        // Perturb a handful of scattered pins.
-        let mut caps = tg.pin_caps();
-        for p in (0..tg.num_pins()).step_by(37) {
-            caps[p] *= 5.0;
-        }
-        let incremental = base.retime_with_caps(&tg, &caps);
-        let full = StaEngine::with_caps(&tg, &caps);
-        for p in 0..tg.num_pins() {
-            assert!(
-                (incremental.arrival(p) - full.arrival(p)).abs() < 1e-12,
-                "pin {p}: {} vs {}",
-                incremental.arrival(p),
-                full.arrival(p)
-            );
-        }
-        assert!((incremental.critical_arrival() - full.critical_arrival()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn incremental_retiming_noop_for_unchanged_caps() {
-        let (_, tg) = chain(5);
-        let base = StaEngine::new(&tg);
-        let same = base.retime_with_caps(&tg, &tg.pin_caps());
-        for p in 0..tg.num_pins() {
-            assert_eq!(same.arrival(p), base.arrival(p));
-        }
-    }
-
-    #[test]
-    fn incremental_retiming_chains() {
-        // Apply two successive perturbations incrementally; must match the
-        // one-shot full analysis of the final capacitances.
-        let (_, tg) = chain(6);
-        let base = StaEngine::new(&tg);
-        let mut caps1 = tg.pin_caps();
-        caps1[1] *= 3.0;
-        let step1 = base.retime_with_caps(&tg, &caps1);
-        let mut caps2 = caps1.clone();
-        caps2[5] *= 2.0;
-        let step2 = step1.retime_with_caps(&tg, &caps2);
-        let full = StaEngine::with_caps(&tg, &caps2);
-        for p in 0..tg.num_pins() {
-            assert!(
-                (step2.arrival(p) - full.arrival(p)).abs() < 1e-12,
-                "pin {p}"
-            );
         }
     }
 

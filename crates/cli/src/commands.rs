@@ -3,8 +3,8 @@
 use crate::args::{KnnChoice, USAGE};
 use crate::{CliError, Command};
 use cirstag::{
-    analyze_partitioned, ArtifactCache, CirStag, CirStagConfig, EcoReportExport, FailurePolicy,
-    PartitionedReport, ReportExport,
+    analyze_partitioned, ArtifactCache, CirStag, CirStagConfig, EcoReportExport, PartitionedReport,
+    ReportExport,
 };
 use cirstag_circuit::{
     apply_delta, extract_features, generate_circuit, parse_netlist, partition_graph, write_netlist,
@@ -12,9 +12,9 @@ use cirstag_circuit::{
     StaEngine, TimingGraph,
 };
 use cirstag_embed::KnnMethod;
-use cirstag_gnn::{r2_score, Activation, GnnModel, GraphContext, LayerSpec, TrainConfig};
 use cirstag_graph::{heat_colors, to_dot, DotOptions, Graph};
 use cirstag_linalg::DenseMatrix;
+use cirstag_serve::{analysis_config, train_timing_gnn};
 
 /// Outcome of a successfully completed command, used to pick the process
 /// exit code: `0` for [`RunStatus::Clean`], `2` for [`RunStatus::Degraded`]
@@ -219,8 +219,9 @@ fn sta(path: &str, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Trains the timing GNN on the pin graph and returns the node features and
-/// the model's node embeddings (the pipeline's output-side data).
+/// Trains the timing GNN on the pin graph with progress lines and returns the
+/// node features and the model's node embeddings (the pipeline's output-side
+/// data).
 fn train_gnn(
     timing: &TimingGraph,
     netlist: &Netlist,
@@ -229,84 +230,19 @@ fn train_gnn(
     epochs: usize,
     out: &mut dyn std::io::Write,
 ) -> Result<(DenseMatrix, DenseMatrix), CliError> {
-    let arcs: Vec<(usize, usize)> = timing.arcs().iter().map(|&(f, t, _)| (f, t)).collect();
-    let ctx = GraphContext::with_dag(graph, &arcs)?;
-    let features = extract_features(
-        timing,
-        netlist,
-        library,
-        &timing.pin_caps(),
-        &FeatureConfig::default(),
-    )?;
-    let engine = StaEngine::new(timing);
-    let critical = engine.critical_arrival().max(1e-12);
-    let targets = DenseMatrix::from_rows(
-        &engine
-            .arrival_times()
-            .iter()
-            .map(|&a| vec![a / critical])
-            .collect::<Vec<_>>(),
-    )?;
     writeln!(
         out,
         "training timing GNN ({epochs} epochs) on {} pins…",
         timing.num_pins()
     )?;
-    let mut model = GnnModel::new(
-        features.ncols(),
-        &[
-            LayerSpec::Linear {
-                dim: 32,
-                activation: Activation::Relu,
-            },
-            LayerSpec::DagProp {
-                dim: 32,
-                activation: Activation::Relu,
-            },
-            LayerSpec::Linear {
-                dim: 16,
-                activation: Activation::Relu,
-            },
-            LayerSpec::Linear {
-                dim: 1,
-                activation: Activation::Identity,
-            },
-        ],
-        0xC11,
-    )?;
-    model.fit_regression(
-        &ctx,
-        &features,
-        &targets,
-        None,
-        &TrainConfig {
-            epochs,
-            learning_rate: 8e-3,
-            weight_decay: 1e-5,
-            clip_norm: 5.0,
-            ..TrainConfig::default()
-        },
-    )?;
-    let pred = model.forward(&ctx, &features, false)?;
-    writeln!(out, "GNN R² = {:.4}", r2_score(&pred, &targets))?;
-    let embedding = model.embeddings(&ctx, &features)?;
-    Ok((features, embedding))
+    let trained = train_timing_gnn(timing, netlist, library, graph, epochs)?;
+    writeln!(out, "GNN R² = {:.4}", trained.r2)?;
+    Ok((trained.features, trained.embedding))
 }
 
-/// The CLI's pipeline configuration for a given design size and policy.
+/// The shared analysis configuration with the `--knn` override applied.
 fn base_config(graph: &Graph, threads: usize, best_effort: bool, knn: KnnChoice) -> CirStagConfig {
-    let mut config = CirStagConfig {
-        embedding_dim: 16,
-        num_eigenpairs: 25,
-        knn_k: 10,
-        num_threads: threads,
-        policy: if best_effort {
-            FailurePolicy::BestEffort
-        } else {
-            FailurePolicy::Strict
-        },
-        ..Default::default()
-    };
+    let mut config = analysis_config(graph.num_nodes(), threads, best_effort);
     config.knn.method = match knn {
         KnnChoice::Exact => KnnMethod::Exact,
         KnnChoice::RpForest => KnnMethod::RpForest {
@@ -314,7 +250,7 @@ fn base_config(graph: &Graph, threads: usize, best_effort: bool, knn: KnnChoice)
             leaf_size: 48,
         },
         KnnChoice::Hnsw => KnnMethod::hnsw_default(),
-        KnnChoice::Auto => KnnMethod::auto(graph.num_nodes()),
+        KnnChoice::Auto => config.knn.method,
     };
     config
 }
@@ -798,9 +734,7 @@ fn sweep(
     }
 }
 
-/// Runs the resident daemon until a `shutdown` request arrives. The overload
-/// gate's hysteresis band is derived from the queue bound: engage at 3/4,
-/// release at 1/4.
+/// Runs the resident daemon until a `shutdown` request arrives.
 #[allow(clippy::too_many_arguments)]
 fn serve(
     addr: &str,
@@ -816,13 +750,10 @@ fn serve(
         addr: addr.to_string(),
         workers,
         queue_capacity: queue,
-        downgrade_high: (queue * 3 / 4).max(1),
-        downgrade_low: queue / 4,
         default_deadline_ms: deadline_ms,
         best_effort,
         cache_dir: cache_dir.map(str::to_string),
         port_file: port_file.map(str::to_string),
-        ..Default::default()
     };
     let server = cirstag_serve::Server::bind(&config).map_err(|e| CliError::new(e.to_string()))?;
     server.run(out).map_err(|e| CliError::new(e.to_string()))?;

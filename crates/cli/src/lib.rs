@@ -68,7 +68,7 @@ from_error!(
     std::io::Error,
     cirstag::CirStagError,
     cirstag_circuit::CircuitError,
-    cirstag_gnn::GnnError,
     cirstag_graph::GraphError,
     cirstag_linalg::LinalgError,
+    cirstag_serve::ServeError,
 );

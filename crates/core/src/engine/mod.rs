@@ -5,7 +5,7 @@
 //! `phase2/manifold-output` → `phase3/pencil` → `phase3/geig` →
 //! `phase3/dmd`. One executor applies the cross-cutting machinery — stage
 //! fingerprinting, cache lookup/replay, diagnostics segment capture —
-//! uniformly, while the phase driver in [`run_pipeline`] keeps the
+//! uniformly, while the phase driver `run_pipeline` keeps the
 //! *phase-level* semantics (stall failpoints, wall-clock timing, budget
 //! enforcement) exactly where the monolithic pipeline had them.
 //!

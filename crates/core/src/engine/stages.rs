@@ -24,8 +24,8 @@ use cirstag_graph::Graph;
 use cirstag_linalg::{fail, par, DenseMatrix};
 use cirstag_pgm::{learn_manifold, random_prune, PgmConfig};
 use cirstag_solver::{
-    generalized_eigen_dense, generalized_lanczos_ws, CgOptions, GeneralizedEigen, LadderRung,
-    LaplacianSolver, SolverError, SolverWorkspace,
+    generalized_eigen_dense, generalized_lanczos_ws, CgOptions, GeneralizedEigen, LaplacianSolver,
+    SolverError, SolverWorkspace,
 };
 use std::time::Instant;
 
@@ -363,7 +363,7 @@ impl Stage for PencilStage {
         // Strict keeps the historical fail-fast solver; BestEffort lets the
         // inner CG escalate tree → dense instead of surfacing NoConvergence.
         let ly = if cfg.policy == FailurePolicy::BestEffort {
-            LaplacianSolver::with_ladder(output_manifold, ly_options, LadderRung::Tree)?
+            LaplacianSolver::with_ladder(output_manifold, ly_options)?
         } else {
             LaplacianSolver::with_tree_preconditioner(output_manifold, ly_options)?
         };
@@ -372,7 +372,7 @@ impl Stage for PencilStage {
 }
 
 /// Phase 3b: the generalized eigensolve `L_Y⁺ L_X v = ζ v` with its fallback
-/// ladder, surfacing the inner CG ladder's escalations and warnings.
+/// ladder, surfacing the inner CG ladder's escalations.
 pub(crate) struct GeigStage;
 
 impl Stage for GeigStage {
@@ -398,7 +398,7 @@ impl Stage for GeigStage {
         };
         let s = cfg.num_eigenpairs.min(ctx.n.saturating_sub(2)).max(1);
         let geig = phase3_eigenpairs(&pencil.lx, &pencil.ly, s, ctx.n, cfg, ctx.diag, ctx.ws)?;
-        // Surface the inner CG ladder's escalations and warnings.
+        // Surface the inner CG ladder's escalations.
         for ev in pencil.ly.take_events() {
             ctx.diag.events.push(FallbackEvent {
                 stage: "phase3/cg".to_string(),
@@ -408,7 +408,6 @@ impl Stage for GeigStage {
                 elapsed_ms: ev.elapsed_ms,
             });
         }
-        ctx.diag.warnings.extend(pencil.ly.take_warnings());
         Ok(Artifact::Eigen(geig))
     }
 }

@@ -54,7 +54,6 @@ mod metrics;
 mod model;
 mod optim;
 mod param;
-mod state;
 
 pub use activation::Activation;
 pub use context::{DagInfo, GraphContext};
@@ -63,6 +62,5 @@ pub use layers::{DagPropLayer, DropoutLayer, GatLayer, GcnLayer, Layer, LinearLa
 pub use loss::{cross_entropy_loss, mse_loss, LossValue};
 pub use metrics::{accuracy, f1_macro, mean_row_cosine, r2_score};
 pub use model::{GnnModel, LayerSpec, TrainConfig, TrainReport};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use param::Param;
-pub use state::{ModelState, ParamState};

@@ -99,75 +99,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum and the same
-/// decoupled weight decay / clipping knobs as [`Adam`]. Useful as a
-/// baseline and for fine-tuning with a stable, tuned learning rate.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f64,
-    /// Decoupled weight decay coefficient (0 disables).
-    pub weight_decay: f64,
-    /// Global-norm gradient clip (0 disables).
-    pub clip_norm: f64,
-    velocity: Vec<DenseMatrix>,
-}
-
-impl Sgd {
-    /// Creates a plain SGD optimizer (no momentum).
-    pub fn new(learning_rate: f64) -> Self {
-        Sgd {
-            learning_rate,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            clip_norm: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update using the gradients currently stored on `params`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter list changes shape between calls.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params
-                .iter()
-                .map(|p| DenseMatrix::zeros(p.value.nrows(), p.value.ncols()))
-                .collect();
-        }
-        let mut scale = 1.0;
-        if self.clip_norm > 0.0 {
-            let total: f64 = params
-                .iter()
-                .map(|p| p.grad.as_slice().iter().map(|g| g * g).sum::<f64>())
-                .sum::<f64>()
-                .sqrt();
-            if total > self.clip_norm {
-                scale = self.clip_norm / total;
-            }
-        }
-        for (idx, p) in params.iter_mut().enumerate() {
-            // cirstag-lint: allow(error-hygiene) -- optimizer/parameter shape drift is a programming error; asserting avoids silent state corruption
-            assert_eq!(
-                p.value.shape(),
-                self.velocity[idx].shape(),
-                "parameter shape changed between SGD steps"
-            );
-            let v = self.velocity[idx].as_mut_slice();
-            let grads = p.grad.as_slice().to_vec();
-            for (k, val) in p.value.as_mut_slice().iter_mut().enumerate() {
-                let g = grads[k] * scale + self.weight_decay * *val;
-                v[k] = self.momentum * v[k] + g;
-                *val -= self.learning_rate * v[k];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,44 +139,6 @@ mod tests {
         adam.step(&mut [&mut p]);
         // With clipping, first Adam step magnitude is ≤ lr (bias-corrected).
         assert!(p.value.get(0, 0).abs() <= 0.2);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Param::zeros(1, 1);
-        let mut sgd = Sgd::new(0.1);
-        for _ in 0..300 {
-            let x = p.value.get(0, 0);
-            p.grad.set(0, 0, 2.0 * (x - 3.0));
-            sgd.step(&mut [&mut p]);
-        }
-        assert!((p.value.get(0, 0) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates_along_valleys() {
-        // On an ill-conditioned quadratic, momentum converges in fewer steps.
-        let run = |momentum: f64| {
-            let mut p = Param::zeros(1, 2);
-            p.value.set(0, 0, 5.0);
-            p.value.set(0, 1, 5.0);
-            let mut sgd = Sgd::new(0.02);
-            sgd.momentum = momentum;
-            let mut steps = 0;
-            for _ in 0..5000 {
-                let x = p.value.get(0, 0);
-                let y = p.value.get(0, 1);
-                if x.abs() < 1e-3 && y.abs() < 1e-3 {
-                    break;
-                }
-                p.grad.set(0, 0, 2.0 * x); // curvature 2
-                p.grad.set(0, 1, 0.08 * y); // curvature 0.08
-                sgd.step(&mut [&mut p]);
-                steps += 1;
-            }
-            steps
-        };
-        assert!(run(0.9) < run(0.0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the graph substrate shared by the CirSTAG manifold
 //! machinery: a compact adjacency-list [`Graph`] type, combinatorial and
-//! normalized Laplacian assembly, BFS/Dijkstra traversals, connected
+//! normalized Laplacian assembly, Dijkstra shortest paths, connected
 //! components, a union–find, minimum/maximum spanning trees, a practical
 //! low-stretch spanning-tree heuristic, and an LCA-based tree-path oracle
 //! used for stretch and cycle-resistance queries.
@@ -39,9 +39,8 @@ pub use dot::{heat_colors, to_dot, DotOptions};
 pub use error::GraphError;
 pub use graph::{Edge, EdgeId, Graph, NodeId};
 pub use spanning::{
-    average_stretch, low_stretch_tree, maximum_spanning_tree, minimum_spanning_tree,
-    prim_maximum_spanning_tree, SpanningTree,
+    average_stretch, low_stretch_tree, maximum_spanning_tree, minimum_spanning_tree, SpanningTree,
 };
-pub use traversal::{bfs_order, connected_components, dijkstra, ShortestPaths};
+pub use traversal::{connected_components, dijkstra, ShortestPaths};
 pub use tree::TreePathOracle;
 pub use unionfind::UnionFind;

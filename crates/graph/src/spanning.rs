@@ -101,78 +101,6 @@ pub fn minimum_spanning_tree(g: &Graph) -> SpanningTree {
     kruskal(g, &order)
 }
 
-/// Prim's algorithm growing a maximum-weight spanning tree from `root`
-/// (lazy-deletion binary heap, `O(|E| log |E|)`).
-///
-/// Produces a tree with the same total weight as [`maximum_spanning_tree`]
-/// (spanning trees of maximal weight are unique for distinct weights) but
-/// different edge *ids* may be chosen under ties; useful when a specific
-/// root/growth order matters.
-///
-/// # Errors
-///
-/// Returns [`GraphError::NodeOutOfBounds`] for an invalid root and
-/// [`GraphError::Disconnected`] when the graph has several components.
-pub fn prim_maximum_spanning_tree(
-    g: &Graph,
-    root: crate::NodeId,
-) -> Result<SpanningTree, GraphError> {
-    if root >= g.num_nodes() {
-        return Err(GraphError::NodeOutOfBounds {
-            node: root,
-            num_nodes: g.num_nodes(),
-        });
-    }
-    let n = g.num_nodes();
-    let mut in_tree = vec![false; n];
-    let mut chosen = Vec::with_capacity(n.saturating_sub(1));
-    let mut heap: std::collections::BinaryHeap<(ordered::OrderedWeight, EdgeId)> =
-        std::collections::BinaryHeap::new();
-    in_tree[root] = true;
-    for (_, eid) in g.incident_edges(root) {
-        heap.push((ordered::OrderedWeight(g.edges()[eid].weight), eid));
-    }
-    while let Some((_, eid)) = heap.pop() {
-        let e = g.edges()[eid];
-        let next = if !in_tree[e.u] {
-            e.u
-        } else if !in_tree[e.v] {
-            e.v
-        } else {
-            continue; // lazy deletion
-        };
-        in_tree[next] = true;
-        chosen.push(eid);
-        for (_, ne) in g.incident_edges(next) {
-            let edge = g.edges()[ne];
-            if !in_tree[edge.u] || !in_tree[edge.v] {
-                heap.push((ordered::OrderedWeight(edge.weight), ne));
-            }
-        }
-    }
-    if chosen.len() + 1 != n.max(1) {
-        return Err(GraphError::Disconnected);
-    }
-    Ok(SpanningTree::from_edge_ids(g, chosen))
-}
-
-mod ordered {
-    /// Total order over finite weights for use in a max-heap.
-    #[derive(PartialEq)]
-    pub(super) struct OrderedWeight(pub f64);
-    impl Eq for OrderedWeight {}
-    impl PartialOrd for OrderedWeight {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for OrderedWeight {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0)
-        }
-    }
-}
-
 /// A practical low-stretch spanning tree heuristic.
 ///
 /// Classic AKPW-style constructions repeatedly contract low-diameter clusters.
@@ -288,31 +216,6 @@ mod tests {
         let t = maximum_spanning_tree(&g);
         let count = (0..g.num_edges()).filter(|&e| t.contains_edge(e)).count();
         assert_eq!(count, t.num_edges());
-    }
-
-    #[test]
-    fn prim_matches_kruskal_total_weight() {
-        let g = diamond();
-        let kruskal_t = maximum_spanning_tree(&g);
-        for root in 0..4 {
-            let prim_t = prim_maximum_spanning_tree(&g, root).unwrap();
-            assert_eq!(prim_t.num_edges(), 3);
-            assert!((prim_t.total_weight() - kruskal_t.total_weight()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn prim_validation() {
-        let g = diamond();
-        assert!(matches!(
-            prim_maximum_spanning_tree(&g, 99),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
-        let disc = Graph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
-        assert!(matches!(
-            prim_maximum_spanning_tree(&disc, 0),
-            Err(GraphError::Disconnected)
-        ));
     }
 
     #[test]

@@ -1,38 +1,9 @@
-//! Breadth-first search, connected components and Dijkstra shortest paths.
+//! Connected components and Dijkstra shortest paths.
 
 use crate::{Graph, GraphError, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
-
-/// Returns the nodes reachable from `start` in BFS order.
-///
-/// # Errors
-///
-/// Returns [`GraphError::NodeOutOfBounds`] when `start` is invalid.
-pub fn bfs_order(g: &Graph, start: NodeId) -> Result<Vec<NodeId>, GraphError> {
-    if start >= g.num_nodes() {
-        return Err(GraphError::NodeOutOfBounds {
-            node: start,
-            num_nodes: g.num_nodes(),
-        });
-    }
-    let mut visited = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for (v, _) in g.neighbors(u) {
-            if !visited[v] {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    Ok(order)
-}
 
 /// Labels every node with the index of its connected component.
 ///
@@ -164,15 +135,6 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> Result<ShortestPaths, GraphError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bfs_visits_component() {
-        let g = Graph::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]).unwrap();
-        let order = bfs_order(&g, 0).unwrap();
-        assert_eq!(order.len(), 3);
-        assert_eq!(order[0], 0);
-        assert!(bfs_order(&g, 9).is_err());
-    }
 
     #[test]
     fn components_labelled_in_order() {

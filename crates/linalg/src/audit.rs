@@ -35,7 +35,7 @@ fn probe_vector(n: usize, probe: usize) -> Vec<f64> {
 
 /// Audits a graph Laplacian at a phase boundary: CSR well-formedness,
 /// squareness, symmetry, and positive semidefiniteness (spot-checked with
-/// [`PSD_PROBES`] deterministic probe vectors).
+/// `PSD_PROBES` deterministic probe vectors).
 ///
 /// Returns every violation found, empty when the matrix passes. Violations
 /// are ordered structural-first so the most fundamental failure leads.

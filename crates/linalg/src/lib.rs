@@ -33,7 +33,6 @@ mod dense;
 mod error;
 pub mod fail;
 pub mod par;
-mod qr;
 mod sparse;
 mod symeig;
 mod tridiag;
@@ -41,7 +40,6 @@ pub mod vecops;
 
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use qr::{least_squares, qr_decompose, QrDecomposition};
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use symeig::jacobi_eigen;
 pub use tridiag::{tridiag_eigen, TridiagEigen};

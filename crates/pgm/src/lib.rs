@@ -37,9 +37,7 @@
 #![warn(missing_docs)]
 
 mod error;
-mod objective;
 mod sparsify;
 
 pub use error::PgmError;
-pub use objective::{pgm_objective, PgmObjective};
 pub use sparsify::{learn_manifold, random_prune, PgmConfig, PgmResult, PgmStats};

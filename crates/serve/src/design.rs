@@ -8,12 +8,16 @@
 //! rest block and then share the [`std::sync::Arc`]. Training is seeded
 //! (fixed model seed, deterministic STA targets), so every tenant sees the
 //! same embedding regardless of arrival order.
+//!
+//! [`train_timing_gnn`] and [`analysis_config`] are also what `cirstag
+//! analyze` runs, so the CLI and the daemon score a netlist identically.
 
 use crate::ServeError;
-use cirstag::{Fingerprint, Fingerprinter};
+use cirstag::{CirStagConfig, FailurePolicy, Fingerprint, Fingerprinter};
 use cirstag_circuit::{
-    extract_features, parse_netlist, CellLibrary, FeatureConfig, StaEngine, TimingGraph,
+    extract_features, parse_netlist, CellLibrary, FeatureConfig, Netlist, StaEngine, TimingGraph,
 };
+use cirstag_embed::KnnMethod;
 use cirstag_gnn::{r2_score, Activation, GnnModel, GraphContext, LayerSpec, TrainConfig};
 use cirstag_graph::Graph;
 use cirstag_linalg::DenseMatrix;
@@ -147,26 +151,69 @@ fn design_key(netlist_text: &str, epochs: usize) -> Fingerprint {
     fp.finish()
 }
 
-/// Parse → STA → GNN training, mirroring the CLI's `analyze` preamble.
+/// Parse → STA → GNN training: the CLI's `analyze` preamble on netlist text.
 fn build_design(netlist_text: &str, epochs: usize) -> Result<PreparedDesign, ServeError> {
-    let err = |e: &dyn std::fmt::Display| ServeError::Design {
-        reason: e.to_string(),
-    };
     let library = CellLibrary::standard();
-    let netlist = parse_netlist(netlist_text, &library).map_err(|e| err(&e))?;
-    let timing = TimingGraph::new(&netlist, &library).map_err(|e| err(&e))?;
-    let graph = timing.to_undirected_graph().map_err(|e| err(&e))?;
+    let netlist = parse_netlist(netlist_text, &library).map_err(design_error)?;
+    let timing = TimingGraph::new(&netlist, &library).map_err(design_error)?;
+    let graph = timing.to_undirected_graph().map_err(design_error)?;
+    let TrainedGnn {
+        features,
+        embedding,
+        r2,
+    } = train_timing_gnn(&timing, &netlist, &library, &graph, epochs)?;
+    Ok(PreparedDesign {
+        name: netlist.name.clone(),
+        graph,
+        features,
+        embedding,
+        r2,
+    })
+}
+
+fn design_error(e: impl std::fmt::Display) -> ServeError {
+    ServeError::Design {
+        reason: e.to_string(),
+    }
+}
+
+/// What training the timing GNN on a design yields.
+#[derive(Debug)]
+pub struct TrainedGnn {
+    /// Per-pin features (the pipeline's input-side augmentation).
+    pub features: DenseMatrix,
+    /// The trained GNN's node embeddings `Y` (the output-side data).
+    pub embedding: DenseMatrix,
+    /// Training fit quality (R² of normalized arrival-time regression).
+    pub r2: f64,
+}
+
+/// Trains the timing GNN that both `cirstag analyze` and the daemon run on
+/// a design: pin features regressed onto STA arrival times normalized by the
+/// critical arrival, through Linear 32 → DagProp 32 → Linear 16 → Linear 1
+/// (seed `0xC11`) with Adam at 8e-3, weight decay 1e-5 and gradient clip 5.
+///
+/// # Errors
+///
+/// [`ServeError::Design`] when feature extraction or training fails.
+pub fn train_timing_gnn(
+    timing: &TimingGraph,
+    netlist: &Netlist,
+    library: &CellLibrary,
+    graph: &Graph,
+    epochs: usize,
+) -> Result<TrainedGnn, ServeError> {
     let arcs: Vec<(usize, usize)> = timing.arcs().iter().map(|&(f, t, _)| (f, t)).collect();
-    let ctx = GraphContext::with_dag(&graph, &arcs).map_err(|e| err(&e))?;
+    let ctx = GraphContext::with_dag(graph, &arcs).map_err(design_error)?;
     let features = extract_features(
-        &timing,
-        &netlist,
-        &library,
+        timing,
+        netlist,
+        library,
         &timing.pin_caps(),
         &FeatureConfig::default(),
     )
-    .map_err(|e| err(&e))?;
-    let engine = StaEngine::new(&timing);
+    .map_err(design_error)?;
+    let engine = StaEngine::new(timing);
     let critical = engine.critical_arrival().max(1e-12);
     let targets = DenseMatrix::from_rows(
         &engine
@@ -175,7 +222,7 @@ fn build_design(netlist_text: &str, epochs: usize) -> Result<PreparedDesign, Ser
             .map(|&a| vec![a / critical])
             .collect::<Vec<_>>(),
     )
-    .map_err(|e| err(&e))?;
+    .map_err(design_error)?;
     let mut model = GnnModel::new(
         features.ncols(),
         &[
@@ -198,7 +245,7 @@ fn build_design(netlist_text: &str, epochs: usize) -> Result<PreparedDesign, Ser
         ],
         0xC11,
     )
-    .map_err(|e| err(&e))?;
+    .map_err(design_error)?;
     model
         .fit_regression(
             &ctx,
@@ -213,17 +260,38 @@ fn build_design(netlist_text: &str, epochs: usize) -> Result<PreparedDesign, Ser
                 ..TrainConfig::default()
             },
         )
-        .map_err(|e| err(&e))?;
-    let pred = model.forward(&ctx, &features, false).map_err(|e| err(&e))?;
+        .map_err(design_error)?;
+    let pred = model
+        .forward(&ctx, &features, false)
+        .map_err(design_error)?;
     let r2 = r2_score(&pred, &targets);
-    let embedding = model.embeddings(&ctx, &features).map_err(|e| err(&e))?;
-    Ok(PreparedDesign {
-        name: netlist.name.clone(),
-        graph,
+    let embedding = model.embeddings(&ctx, &features).map_err(design_error)?;
+    Ok(TrainedGnn {
         features,
         embedding,
         r2,
     })
+}
+
+/// The analysis configuration that both `cirstag analyze` and the daemon
+/// start from: 16 spectral dimensions, 25 eigenpairs, `k = 10` neighbours
+/// chosen by [`KnnMethod::auto`] for a `num_nodes`-pin design, `threads`
+/// workers and the Strict or BestEffort failure policy.
+pub fn analysis_config(num_nodes: usize, threads: usize, best_effort: bool) -> CirStagConfig {
+    let mut config = CirStagConfig {
+        embedding_dim: 16,
+        num_eigenpairs: 25,
+        knn_k: 10,
+        num_threads: threads,
+        policy: if best_effort {
+            FailurePolicy::BestEffort
+        } else {
+            FailurePolicy::Strict
+        },
+        ..Default::default()
+    };
+    config.knn.method = KnnMethod::auto(num_nodes);
+    config
 }
 
 #[cfg(test)]

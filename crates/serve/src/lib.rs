@@ -33,7 +33,7 @@ pub mod protocol;
 mod server;
 
 pub use admission::{AdmissionQueue, Admit, OverloadGate, ServerStats};
-pub use design::{DesignStore, PreparedDesign};
+pub use design::{analysis_config, train_timing_gnn, DesignStore, PreparedDesign, TrainedGnn};
 pub use error::ServeError;
 pub use load::{run_load, shutdown_daemon, LoadConfig, LoadReport};
 pub use protocol::{

@@ -29,7 +29,7 @@
 //! a typed `504`.
 
 use crate::admission::{AdmissionQueue, Admit, OverloadGate, ServerStats};
-use crate::design::{DesignStore, PreparedDesign};
+use crate::design::{analysis_config, DesignStore, PreparedDesign};
 use crate::protocol::{
     write_line, Request, Response, Verb, CODE_BAD_REQUEST, CODE_DEADLINE, CODE_INTERNAL, CODE_SHED,
 };
@@ -37,10 +37,9 @@ use crate::ServeError;
 use cirstag::failpoint as fail;
 use cirstag::{
     analyze_partitioned, ArtifactCache, CancelToken, CirStag, CirStagConfig, CirStagError,
-    FailurePolicy, PartitionedReport, StabilityReport,
+    PartitionedReport, StabilityReport,
 };
 use cirstag_circuit::{apply_delta, partition_graph, NetlistDelta, PartitionConfig};
-use cirstag_embed::KnnMethod;
 use serde::Value;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,12 +56,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads executing queued analyses.
     pub workers: usize,
-    /// Admission-queue bound; depth beyond this sheds with `503`.
+    /// Admission-queue bound; depth beyond this sheds with `503`. The
+    /// overload gate forces BestEffort at three quarters of this depth and
+    /// releases the downgrade at one quarter.
     pub queue_capacity: usize,
-    /// Queue depth at which the overload gate forces BestEffort.
-    pub downgrade_high: usize,
-    /// Queue depth at which the forced downgrade releases.
-    pub downgrade_low: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: Option<u64>,
     /// Base failure policy for requests without a `best_effort` field.
@@ -72,9 +69,10 @@ pub struct ServeConfig {
     /// When set, the bound address is written here after `bind` — how
     /// scripts discover an ephemeral port.
     pub port_file: Option<String>,
-    /// Prepared designs retained in memory.
-    pub design_capacity: usize,
 }
+
+/// Prepared designs retained in memory.
+const DESIGN_CAPACITY: usize = 8;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -82,13 +80,10 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_capacity: 64,
-            downgrade_high: 48,
-            downgrade_low: 16,
             default_deadline_ms: None,
             best_effort: false,
             cache_dir: None,
             port_file: None,
-            design_capacity: 8,
         }
     }
 }
@@ -167,10 +162,13 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(config.queue_capacity),
-            gate: OverloadGate::new(config.downgrade_high, config.downgrade_low),
+            gate: OverloadGate::new(
+                (config.queue_capacity * 3 / 4).max(1),
+                config.queue_capacity / 4,
+            ),
             stats: ServerStats::default(),
             cache,
-            designs: DesignStore::new(config.design_capacity),
+            designs: DesignStore::new(DESIGN_CAPACITY),
             shutdown: AtomicBool::new(false),
             local,
             workers: config.workers.max(1),
@@ -498,7 +496,7 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
         ServerStats::bump(&shared.stats.forced_downgrades);
     }
     let best_effort = forced || req.best_effort.unwrap_or(shared.base_best_effort);
-    let config = analysis_config(&design, best_effort, &job.cancel);
+    let config = request_config(&design, best_effort, &job.cancel);
     // cirstag-lint: allow(nondeterminism) -- request timing/deadline bookkeeping; responses carry it as diagnostics only
     let started = Instant::now();
     match req.verb {
@@ -677,24 +675,12 @@ fn handle_delta(
 /// `num_threads = 1` (the rayon pool is process-global; concurrent workers
 /// must not fight over it) and the remaining deadline mapped onto the
 /// per-stage wall-clock budget.
-fn analysis_config(
+fn request_config(
     design: &PreparedDesign,
     best_effort: bool,
     cancel: &CancelToken,
 ) -> CirStagConfig {
-    let mut config = CirStagConfig {
-        embedding_dim: 16,
-        num_eigenpairs: 25,
-        knn_k: 10,
-        num_threads: 1,
-        policy: if best_effort {
-            FailurePolicy::BestEffort
-        } else {
-            FailurePolicy::Strict
-        },
-        ..Default::default()
-    };
-    config.knn.method = KnnMethod::auto(design.graph.num_nodes());
+    let mut config = analysis_config(design.graph.num_nodes(), 1, best_effort);
     if let Some(remaining) = cancel.remaining() {
         // Each stage is individually bounded by what is left of the
         // request's deadline; the token still cancels between stages.

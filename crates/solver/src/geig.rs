@@ -406,11 +406,15 @@ mod tests {
         let gx = cycle_graph(12, 2.0);
         let gy = cycle_graph(12, 1.0);
         let lx = gx.laplacian();
-        // The Jacobi default, and the tree-preconditioned solver Phase 3
-        // uses, whose CG applies the tree sweep one column at a time.
+        // The fail-fast default, and the escalating solver with Phase 3's
+        // options; both CGs apply the tree sweep one column at a time.
+        let phase3_options = CgOptions {
+            tol: 1e-6,
+            max_iter: 10_000,
+        };
         for solver in [
             LaplacianSolver::new(&gy).unwrap(),
-            LaplacianSolver::with_tree_preconditioner(&gy, CgOptions::default()).unwrap(),
+            LaplacianSolver::with_ladder(&gy, phase3_options).unwrap(),
         ] {
             let plain = generalized_lanczos(&lx, &solver, 3, 40, 9).unwrap();
 

@@ -1,25 +1,21 @@
 //! Deflated solver for connected-graph Laplacian systems, with an optional
-//! preconditioner fallback ladder.
+//! tree → dense fallback ladder.
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::{
     conjugate_gradient_block_into, conjugate_gradient_into, CgOptions, CgStats, CsrOperator,
-    JacobiPreconditioner, Preconditioner, SolverError, SolverWorkspace, TreePreconditioner,
+    SolverError, SolverWorkspace, TreePreconditioner,
 };
 use cirstag_graph::{Graph, GraphError};
 use cirstag_linalg::vecops;
 use cirstag_linalg::{jacobi_eigen, CsrMatrix, DenseMatrix};
 
-/// A rung of the Laplacian solver's preconditioner fallback ladder, ordered
-/// from cheapest to most robust.
+/// A rung of the Laplacian solver's fallback ladder, ordered from cheapest
+/// to most robust.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LadderRung {
-    /// Unpreconditioned CG.
-    Identity,
-    /// Jacobi (diagonal) preconditioned CG — the historical default.
-    Jacobi,
     /// Low-stretch spanning-tree preconditioned CG.
     Tree,
     /// Direct dense pseudoinverse solve via a full eigendecomposition.
@@ -30,20 +26,8 @@ impl LadderRung {
     /// Stable lower-case name used in diagnostics and fallback events.
     pub fn name(self) -> &'static str {
         match self {
-            LadderRung::Identity => "identity",
-            LadderRung::Jacobi => "jacobi",
             LadderRung::Tree => "tree",
             LadderRung::Dense => "dense",
-        }
-    }
-
-    /// The next, more robust rung (`None` past the dense solve).
-    pub fn next(self) -> Option<LadderRung> {
-        match self {
-            LadderRung::Identity => Some(LadderRung::Jacobi),
-            LadderRung::Jacobi => Some(LadderRung::Tree),
-            LadderRung::Tree => Some(LadderRung::Dense),
-            LadderRung::Dense => None,
         }
     }
 }
@@ -73,60 +57,8 @@ struct DenseEigen {
 #[derive(Debug, Clone)]
 struct LadderState {
     rung: LadderRung,
-    jacobi: Option<Arc<JacobiPreconditioner>>,
-    tree: Option<Arc<TreePreconditioner>>,
     dense: Option<Arc<DenseEigen>>,
     events: Vec<SolveEvent>,
-    warnings: Vec<String>,
-}
-
-/// Preconditioner view for a single CG rung.
-enum RungPreconditioner {
-    Identity,
-    Jacobi(Arc<JacobiPreconditioner>),
-    Tree(Arc<TreePreconditioner>),
-}
-
-impl Preconditioner for RungPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) -> Result<(), SolverError> {
-        match self {
-            RungPreconditioner::Identity => {
-                if r.len() != z.len() {
-                    return Err(SolverError::DimensionMismatch {
-                        expected: r.len(),
-                        actual: z.len(),
-                    });
-                }
-                z.copy_from_slice(r);
-                Ok(())
-            }
-            RungPreconditioner::Jacobi(p) => p.apply(r, z),
-            RungPreconditioner::Tree(p) => p.apply(r, z),
-        }
-    }
-
-    fn apply_panel(
-        &self,
-        r: &[f64],
-        z: &mut [f64],
-        ncols: usize,
-        ws: &mut SolverWorkspace,
-    ) -> Result<(), SolverError> {
-        match self {
-            RungPreconditioner::Identity => {
-                if r.len() != z.len() {
-                    return Err(SolverError::DimensionMismatch {
-                        expected: r.len(),
-                        actual: z.len(),
-                    });
-                }
-                z.copy_from_slice(r);
-                Ok(())
-            }
-            RungPreconditioner::Jacobi(p) => p.apply_panel(r, z, ncols, ws),
-            RungPreconditioner::Tree(p) => p.apply_panel(r, z, ncols, ws),
-        }
-    }
 }
 
 /// Solves `L x = b` for the Laplacian of a *connected* graph.
@@ -134,21 +66,20 @@ impl Preconditioner for RungPreconditioner {
 /// The Laplacian of a connected graph has a one-dimensional nullspace spanned
 /// by the all-ones vector. This solver restricts the system to the orthogonal
 /// complement: the right-hand side is centered (projected to mean zero) and a
-/// preconditioned CG iteration runs entirely inside the range of `L`,
-/// returning the mean-zero (minimum-norm) solution. This realizes the
-/// pseudoinverse application `x = L⁺ b` used throughout Phases 2–3.
+/// low-stretch-tree preconditioned CG iteration ([`TreePreconditioner`]) runs
+/// entirely inside the range of `L`, returning the mean-zero (minimum-norm)
+/// solution. This realizes the pseudoinverse application `x = L⁺ b` used
+/// throughout Phases 2–3.
 ///
 /// # Fallback ladder
 ///
 /// Constructed via [`LaplacianSolver::with_ladder`], the solver escalates
-/// through progressively more robust strategies whenever a solve fails:
-/// unpreconditioned CG → Jacobi → low-stretch tree → direct dense
-/// eigendecomposition. Escalation is *sticky* (later solves start at the rung
-/// that last succeeded) and every step is recorded as a [`SolveEvent`]
-/// retrievable through [`LaplacianSolver::take_events`]. The historical
-/// constructors ([`LaplacianSolver::new`],
-/// [`LaplacianSolver::with_tree_preconditioner`]) pin the solver to a single
-/// rung and fail fast, preserving their exact pre-ladder behavior.
+/// from tree-preconditioned CG to a direct dense eigendecomposition when a
+/// solve fails. Escalation is *sticky* (later solves start on the dense
+/// rung) and is recorded as a [`SolveEvent`] retrievable through
+/// [`LaplacianSolver::take_events`]. [`LaplacianSolver::new`] and
+/// [`LaplacianSolver::with_tree_preconditioner`] stay on the tree rung and
+/// fail fast.
 ///
 /// # Example
 ///
@@ -168,7 +99,7 @@ impl Preconditioner for RungPreconditioner {
 #[derive(Debug)]
 pub struct LaplacianSolver {
     laplacian: CsrMatrix,
-    graph: Graph,
+    tree: Arc<TreePreconditioner>,
     options: CgOptions,
     escalate: bool,
     state: Mutex<LadderState>,
@@ -180,7 +111,7 @@ impl Clone for LaplacianSolver {
         let state = self.lock().clone();
         LaplacianSolver {
             laplacian: self.laplacian.clone(),
-            graph: self.graph.clone(),
+            tree: Arc::clone(&self.tree),
             options: self.options,
             escalate: self.escalate,
             state: Mutex::new(state),
@@ -192,7 +123,8 @@ impl Clone for LaplacianSolver {
 }
 
 impl LaplacianSolver {
-    /// Builds a solver for the Laplacian of `g` with default CG options.
+    /// Builds a fail-fast tree-preconditioned solver for the Laplacian of `g`
+    /// with default CG options.
     ///
     /// # Errors
     ///
@@ -200,89 +132,45 @@ impl LaplacianSolver {
     /// [`GraphError::Disconnected`] when `g` is not connected (the nullspace
     /// deflation below assumes a single component).
     pub fn new(g: &Graph) -> Result<Self, SolverError> {
-        Self::with_options(g, CgOptions::default())
+        Self::with_tree_preconditioner(g, CgOptions::default())
     }
 
-    /// Builds a solver with explicit CG options.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LaplacianSolver::new`].
-    pub fn with_options(g: &Graph, options: CgOptions) -> Result<Self, SolverError> {
-        Self::build(g, options, LadderRung::Jacobi, false)
-    }
-
-    /// Builds a solver preconditioned by a low-stretch spanning tree
-    /// ([`TreePreconditioner`]) — dramatically more robust than Jacobi on
-    /// graphs whose edge weights span many orders of magnitude, such as the
-    /// kNN manifolds of Phase 2.
+    /// Builds a fail-fast solver preconditioned by a low-stretch spanning
+    /// tree ([`TreePreconditioner`]) — robust on graphs whose edge weights
+    /// span many orders of magnitude, such as the kNN manifolds of Phase 2.
     ///
     /// # Errors
     ///
     /// Same as [`LaplacianSolver::new`].
     pub fn with_tree_preconditioner(g: &Graph, options: CgOptions) -> Result<Self, SolverError> {
-        Self::build(g, options, LadderRung::Tree, false)
+        Self::build(g, options, false)
     }
 
-    /// Builds an *escalating* solver that starts at `start` and climbs the
-    /// fallback ladder ([`LadderRung::Identity`] → Jacobi → tree → dense) on
-    /// each solve failure instead of surfacing the first error.
+    /// Builds an *escalating* solver that starts on the tree rung and falls
+    /// back to the dense rung on a solve failure instead of surfacing the
+    /// first error.
     ///
     /// # Errors
     ///
-    /// Same as [`LaplacianSolver::new`], plus preconditioner construction
-    /// failures for the starting rung.
-    pub fn with_ladder(
-        g: &Graph,
-        options: CgOptions,
-        start: LadderRung,
-    ) -> Result<Self, SolverError> {
-        Self::build(g, options, start, true)
+    /// Same as [`LaplacianSolver::new`].
+    pub fn with_ladder(g: &Graph, options: CgOptions) -> Result<Self, SolverError> {
+        Self::build(g, options, true)
     }
 
-    fn build(
-        g: &Graph,
-        options: CgOptions,
-        start: LadderRung,
-        escalate: bool,
-    ) -> Result<Self, SolverError> {
+    fn build(g: &Graph, options: CgOptions, escalate: bool) -> Result<Self, SolverError> {
         if !g.is_connected() {
             return Err(GraphError::Disconnected.into());
         }
-        let laplacian = g.laplacian();
-        let mut state = LadderState {
-            rung: start,
-            jacobi: None,
-            tree: None,
-            dense: None,
-            events: Vec::new(),
-            warnings: Vec::new(),
-        };
-        // Build the starting preconditioner eagerly so constructor-time
-        // failures (and the Jacobi clamp warning) surface immediately —
-        // matching the historical constructors exactly.
-        match start {
-            LadderRung::Jacobi => {
-                let jacobi = JacobiPreconditioner::from_matrix(&laplacian);
-                if jacobi.clamped_entries() > 0 {
-                    state.warnings.push(format!(
-                        "jacobi preconditioner clamped {} non-positive diagonal entries to 1",
-                        jacobi.clamped_entries()
-                    ));
-                }
-                state.jacobi = Some(Arc::new(jacobi));
-            }
-            LadderRung::Tree => {
-                state.tree = Some(Arc::new(TreePreconditioner::new(g, 0x7e3)?));
-            }
-            LadderRung::Identity | LadderRung::Dense => {}
-        }
         Ok(LaplacianSolver {
-            laplacian,
-            graph: g.clone(),
+            laplacian: g.laplacian(),
+            tree: Arc::new(TreePreconditioner::new(g, 0x7e3)?),
             options,
             escalate,
-            state: Mutex::new(state),
+            state: Mutex::new(LadderState {
+                rung: LadderRung::Tree,
+                dense: None,
+                events: Vec::new(),
+            }),
             workspace: Mutex::new(SolverWorkspace::new()),
         })
     }
@@ -331,19 +219,14 @@ impl LaplacianSolver {
         std::mem::take(&mut self.lock().events)
     }
 
-    /// Drains the non-fatal warnings recorded since the last call.
-    pub fn take_warnings(&self) -> Vec<String> {
-        std::mem::take(&mut self.lock().warnings)
-    }
-
     /// Solves `L x = b`, returning the mean-zero solution.
     ///
     /// `b` is centered internally, so right-hand sides with a nonzero mean
     /// are interpreted as their projection onto the range of `L`.
     ///
     /// For escalating solvers (see [`LaplacianSolver::with_ladder`]), a
-    /// failure on the current rung advances to the next rung and retries;
-    /// only a failure on the terminal dense rung is returned to the caller.
+    /// failure on the tree rung falls back to the dense rung and retries;
+    /// only a failure on the dense rung is returned to the caller.
     ///
     /// # Errors
     ///
@@ -398,8 +281,8 @@ impl LaplacianSolver {
             // cirstag-lint: allow(nondeterminism) -- solver wall-clock diagnostics only; recorded in FallbackEvent, not results
             let started = Instant::now();
             let attempt = match rung {
+                LadderRung::Tree => self.cg_solve_into(rhs, x, ws),
                 LadderRung::Dense => self.dense_solve_into(rhs, x),
-                cg_rung => self.cg_solve_into(cg_rung, rhs, x, ws),
             };
             match attempt {
                 Ok(()) => {
@@ -414,20 +297,18 @@ impl LaplacianSolver {
         }
     }
 
-    /// Records an escalation event and advances the ladder, or propagates
-    /// the error when escalation is disabled or exhausted.
+    /// Records the tree → dense escalation and moves the ladder to the dense
+    /// rung, or propagates the error when escalation is disabled or the
+    /// dense rung itself failed.
     fn escalate_or_fail(
         &self,
         rung: LadderRung,
         err: SolverError,
         started: Instant,
     ) -> Result<(), SolverError> {
-        if !self.escalate {
+        if !self.escalate || rung == LadderRung::Dense {
             return Err(err);
         }
-        let Some(next) = rung.next() else {
-            return Err(err);
-        };
         let residual = match &err {
             SolverError::NoConvergence { residual, .. } => Some(*residual),
             _ => None,
@@ -435,13 +316,13 @@ impl LaplacianSolver {
         let mut state = self.lock();
         state.events.push(SolveEvent {
             from: rung,
-            to: next,
+            to: LadderRung::Dense,
             cause: err.to_string(),
             residual,
             // cirstag-lint: allow(nondeterminism) -- solver wall-clock diagnostics only; recorded in FallbackEvent, not results
             elapsed_ms: u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX),
         });
-        state.rung = next;
+        state.rung = LadderRung::Dense;
         Ok(())
     }
 
@@ -580,8 +461,7 @@ impl LaplacianSolver {
                     }
                 }
             }
-            cg_rung => {
-                let pre = self.preconditioner_for(cg_rung)?;
+            LadderRung::Tree => {
                 let op = CsrOperator::new(&self.laplacian);
                 let m = pending.len();
                 // Compact the still-unconverged columns into a dense panel.
@@ -595,7 +475,7 @@ impl LaplacianSolver {
                 conjugate_gradient_block_into(
                     &op,
                     &panel_b,
-                    &pre,
+                    &*self.tree,
                     self.options,
                     &mut panel_x,
                     stats,
@@ -634,18 +514,15 @@ impl LaplacianSolver {
         }
     }
 
-    /// One CG attempt on a ladder rung, building (and caching) the rung's
-    /// preconditioner on first use.
+    /// One tree-preconditioned CG attempt.
     fn cg_solve_into(
         &self,
-        rung: LadderRung,
         rhs: &[f64],
         x: &mut [f64],
         ws: &mut SolverWorkspace,
     ) -> Result<(), SolverError> {
-        let pre = self.preconditioner_for(rung)?;
         let op = CsrOperator::new(&self.laplacian);
-        let stats = conjugate_gradient_into(&op, rhs, &pre, self.options, x, ws)?;
+        let stats = conjugate_gradient_into(&op, rhs, &*self.tree, self.options, x, ws)?;
         if !stats.converged {
             return Err(SolverError::NoConvergence {
                 algorithm: "laplacian pcg",
@@ -654,39 +531,6 @@ impl LaplacianSolver {
             });
         }
         Ok(())
-    }
-
-    fn preconditioner_for(&self, rung: LadderRung) -> Result<RungPreconditioner, SolverError> {
-        match rung {
-            LadderRung::Identity => Ok(RungPreconditioner::Identity),
-            LadderRung::Jacobi => {
-                let mut state = self.lock();
-                if state.jacobi.is_none() {
-                    let jacobi = JacobiPreconditioner::from_matrix(&self.laplacian);
-                    if jacobi.clamped_entries() > 0 {
-                        state.warnings.push(format!(
-                            "jacobi preconditioner clamped {} non-positive diagonal entries to 1",
-                            jacobi.clamped_entries()
-                        ));
-                    }
-                    state.jacobi = Some(Arc::new(jacobi));
-                }
-                Ok(RungPreconditioner::Jacobi(
-                    state.jacobi.as_ref().expect("just cached").clone(), // cirstag-lint: allow(no-panic-in-lib) -- the Option is populated a few lines above under the same lock
-                ))
-            }
-            LadderRung::Tree => {
-                let mut state = self.lock();
-                if state.tree.is_none() {
-                    let tree = TreePreconditioner::new(&self.graph, 0x7e3)?;
-                    state.tree = Some(Arc::new(tree));
-                }
-                Ok(RungPreconditioner::Tree(
-                    state.tree.as_ref().expect("just cached").clone(), // cirstag-lint: allow(no-panic-in-lib) -- the Option is populated a few lines above under the same lock
-                ))
-            }
-            LadderRung::Dense => unreachable!("dense rung does not use CG"), // cirstag-lint: allow(no-panic-in-lib) -- cg_solve is never dispatched for the Dense rung; solve routes it to dense_solve
-        }
     }
 
     /// Terminal ladder rung: `x = V Λ⁺ Vᵀ b` through a cached full
@@ -821,9 +665,7 @@ mod tests {
     fn disconnected_rejected() {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
         assert!(LaplacianSolver::new(&g).is_err());
-        assert!(
-            LaplacianSolver::with_ladder(&g, CgOptions::default(), LadderRung::Identity).is_err()
-        );
+        assert!(LaplacianSolver::with_ladder(&g, CgOptions::default()).is_err());
     }
 
     #[test]
@@ -853,33 +695,41 @@ mod tests {
             Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (0, 3, 3.0)]).unwrap();
         let mut b = vec![1.0, -0.5, 2.0, -2.5];
         vecops::center(&mut b);
-        let reference = LaplacianSolver::new(&g).unwrap().solve(&b).unwrap();
-        for start in [
-            LadderRung::Identity,
-            LadderRung::Jacobi,
-            LadderRung::Tree,
-            LadderRung::Dense,
-        ] {
-            let s = LaplacianSolver::with_ladder(&g, CgOptions::default(), start).unwrap();
-            let x = s.solve(&b).unwrap();
-            for (a, c) in x.iter().zip(&reference) {
-                assert!((a - c).abs() < 1e-7, "rung {:?}: {a} vs {c}", start);
-            }
-            assert!(s.take_events().is_empty(), "no escalation expected");
+        let tree = LaplacianSolver::with_ladder(&g, CgOptions::default()).unwrap();
+        let reference = tree.solve(&b).unwrap();
+        assert_eq!(tree.current_rung(), LadderRung::Tree);
+        assert!(tree.take_events().is_empty(), "no escalation expected");
+        let lx = tree.laplacian().mul_vec(&reference);
+        for (a, c) in lx.iter().zip(&b) {
+            assert!(
+                (a - c).abs() < 1e-7,
+                "tree residual entry {}",
+                (a - c).abs()
+            );
+        }
+        // `max_iter: 0` fails the tree rung at once, so the dense rung answers.
+        let opts = CgOptions {
+            max_iter: 0,
+            ..CgOptions::default()
+        };
+        let dense = LaplacianSolver::with_ladder(&g, opts).unwrap();
+        let x = dense.solve(&b).unwrap();
+        assert_eq!(dense.current_rung(), LadderRung::Dense);
+        for (a, c) in x.iter().zip(&reference) {
+            assert!((a - c).abs() < 1e-7, "dense vs tree: {a} vs {c}");
         }
     }
 
     #[test]
     fn ladder_escalates_past_an_unconvergent_rung() {
-        // max_iter 0 means every CG rung fails immediately; only the dense
-        // rung can finish. The ladder must climb Identity → … → Dense and
-        // record each step.
+        // max_iter 0 means the tree rung fails immediately; only the dense
+        // rung can finish. The ladder must step Tree → Dense and record it.
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]).unwrap();
         let opts = CgOptions {
             tol: 1e-10,
             max_iter: 0,
         };
-        let s = LaplacianSolver::with_ladder(&g, opts, LadderRung::Identity).unwrap();
+        let s = LaplacianSolver::with_ladder(&g, opts).unwrap();
         let mut b = vec![1.0, -1.0, 0.0];
         vecops::center(&mut b);
         let x = s.solve(&b).unwrap();
@@ -889,9 +739,9 @@ mod tests {
         }
         assert_eq!(s.current_rung(), LadderRung::Dense);
         let events = s.take_events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].from, LadderRung::Identity);
-        assert_eq!(events[2].to, LadderRung::Dense);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].from, LadderRung::Tree);
+        assert_eq!(events[0].to, LadderRung::Dense);
         // Sticky escalation: a second solve starts (and stays) dense.
         let _ = s.solve(&b).unwrap();
         assert!(s.take_events().is_empty());
@@ -904,7 +754,7 @@ mod tests {
             tol: 1e-10,
             max_iter: 0,
         };
-        let s = LaplacianSolver::with_options(&g, opts).unwrap();
+        let s = LaplacianSolver::with_tree_preconditioner(&g, opts).unwrap();
         let err = s.solve(&[1.0, -1.0, 0.0]).unwrap_err();
         assert!(matches!(err, SolverError::NoConvergence { .. }));
         assert!(s.take_events().is_empty());
@@ -944,9 +794,15 @@ mod tests {
             ],
         )
         .unwrap();
+        // The fail-fast default solver, and an escalating one with the
+        // pipeline's ranking-grade options.
+        let pipeline_options = CgOptions {
+            tol: 1e-6,
+            max_iter: 10_000,
+        };
         for build in [
             LaplacianSolver::new(&g).unwrap(),
-            LaplacianSolver::with_tree_preconditioner(&g, CgOptions::default()).unwrap(),
+            LaplacianSolver::with_ladder(&g, pipeline_options).unwrap(),
         ] {
             let cols: Vec<Vec<f64>> = (0..3)
                 .map(|j| (0..6).map(|i| ((i * 5 + j * 3) % 7) as f64 - 3.0).collect())
@@ -980,14 +836,14 @@ mod tests {
 
     #[test]
     fn solve_block_escalates_like_scalar_solves() {
-        // max_iter 0 fails every CG rung; the block ladder must climb to the
-        // dense rung and still answer every column.
+        // max_iter 0 fails the tree rung; the block ladder must fall back to
+        // the dense rung and still answer every column.
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]).unwrap();
         let opts = CgOptions {
             tol: 1e-10,
             max_iter: 0,
         };
-        let s = LaplacianSolver::with_ladder(&g, opts, LadderRung::Identity).unwrap();
+        let s = LaplacianSolver::with_ladder(&g, opts).unwrap();
         let b = DenseMatrix::from_columns(&[vec![1.0, -1.0, 0.0], vec![0.5, 0.0, -0.5]]).unwrap();
         let x = s.solve_block(&b).unwrap();
         for j in 0..2 {
@@ -1001,11 +857,12 @@ mod tests {
         }
         assert_eq!(s.current_rung(), LadderRung::Dense);
         let events = s.take_events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].from, LadderRung::Identity);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].from, LadderRung::Tree);
+        assert_eq!(events[0].to, LadderRung::Dense);
         assert!(events[0].cause.contains("block"));
         // Non-escalating solver fails fast on the same input.
-        let fixed = LaplacianSolver::with_options(&g, opts).unwrap();
+        let fixed = LaplacianSolver::with_tree_preconditioner(&g, opts).unwrap();
         assert!(matches!(
             fixed.solve_block(&b),
             Err(SolverError::NoConvergence { .. })
@@ -1019,7 +876,7 @@ mod tests {
             tol: 1e-10,
             max_iter: 0,
         };
-        let s = LaplacianSolver::with_ladder(&g, opts, LadderRung::Tree).unwrap();
+        let s = LaplacianSolver::with_ladder(&g, opts).unwrap();
         let _ = s.solve(&[1.0, -1.0, 0.0]).unwrap();
         assert_eq!(s.clone().current_rung(), LadderRung::Dense);
     }

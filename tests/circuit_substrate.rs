@@ -89,30 +89,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_retiming_matches_full_on_random_perturbations(
-        (cfg, seed) in arb_generator_config()
-    ) {
-        let library = CellLibrary::standard();
-        let netlist = generate_circuit(&library, &cfg, seed).expect("generate");
-        let timing = TimingGraph::new(&netlist, &library).expect("timing");
-        let base = StaEngine::new(&timing);
-        let mut caps = timing.pin_caps();
-        for p in 0..timing.num_pins() {
-            if (p * 7 + seed as usize).is_multiple_of(11) {
-                caps[p] *= 1.0 + ((p % 5) as f64);
-            }
-        }
-        let incremental = base.retime_with_caps(&timing, &caps);
-        let full = StaEngine::with_caps(&timing, &caps);
-        for p in 0..timing.num_pins() {
-            prop_assert!(
-                (incremental.arrival(p) - full.arrival(p)).abs() < 1e-12,
-                "pin {} mismatch", p
-            );
-        }
-    }
-
-    #[test]
     fn pin_graph_is_connected_iff_undirected_reachability(
         (cfg, seed) in arb_generator_config()
     ) {

@@ -388,16 +388,15 @@ mod failpoints {
         assert_eq!(fp::hits("solver/lanczos"), 1);
     }
 
-    // ---- CG ladder (Identity -> Jacobi -> Tree -> Dense) -----------------
+    // ---- CG ladder (Tree -> Dense) ------------------------------------------
 
     #[test]
     fn cg_ladder_escalates_rung_by_rung_to_dense() {
         let _s = serial();
         let g = ring(12);
-        let solver =
-            LaplacianSolver::with_ladder(&g, CgOptions::default(), LadderRung::Identity).unwrap();
-        // Three CG failures walk Identity -> Jacobi -> Tree -> Dense.
-        fp::arm("solver/cg", fp::FailAction::Error, 3);
+        let solver = LaplacianSolver::with_ladder(&g, CgOptions::default()).unwrap();
+        // One CG failure steps Tree -> Dense.
+        fp::arm("solver/cg", fp::FailAction::Error, 1);
         let mut b = vec![0.0; 12];
         b[0] = 1.0;
         b[5] = -1.0;
@@ -405,7 +404,8 @@ mod failpoints {
         assert_eq!(solver.current_rung(), LadderRung::Dense);
         let events = solver.take_events();
         let path: Vec<_> = events.iter().map(|e| e.to.name()).collect();
-        assert_eq!(path, vec!["jacobi", "tree", "dense"]);
+        assert_eq!(path, vec!["dense"]);
+        assert_eq!(events[0].from, LadderRung::Tree);
         // The dense rung must still solve the (centered) system accurately.
         let lap = g.laplacian();
         let lx = lap.mul_vec(&x);
@@ -436,8 +436,7 @@ mod failpoints {
         }
 
         // Reference: the same panel through an unpoisoned escalating solver.
-        let clean_solver =
-            LaplacianSolver::with_ladder(&g, CgOptions::default(), LadderRung::Jacobi).unwrap();
+        let clean_solver = LaplacianSolver::with_ladder(&g, CgOptions::default()).unwrap();
         let clean = clean_solver.solve_block(&b).unwrap();
         assert!(
             clean_solver.take_events().is_empty(),
@@ -445,14 +444,14 @@ mod failpoints {
         );
 
         // Poisoned: the failpoint freezes the lowest-indexed live column
-        // before round 0, so it exhausts the Jacobi rung while the other
+        // before round 0, so it exhausts the tree rung while the other
         // columns converge normally and are frozen into the result.
         fp::arm("solver/cg-block-column", fp::FailAction::Error, 1);
-        let solver =
-            LaplacianSolver::with_ladder(&g, CgOptions::default(), LadderRung::Jacobi).unwrap();
+        let solver = LaplacianSolver::with_ladder(&g, CgOptions::default()).unwrap();
         let x = solver.solve_block(&b).unwrap();
         let events = solver.take_events();
         assert_eq!(events.len(), 1, "exactly one escalation: {events:?}");
+        assert_eq!(events[0].to, LadderRung::Dense);
         assert!(
             events[0].cause.contains("block"),
             "cause names the block solver: {}",
@@ -470,7 +469,7 @@ mod failpoints {
                 );
             }
         }
-        // The failed column was re-solved on the next rung: different float
+        // The failed column was re-solved on the dense rung: different float
         // path, but still an accurate solution of the same system.
         for i in 0..n {
             assert!(x.get(i, 0).is_finite());

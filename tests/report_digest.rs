@@ -7,7 +7,7 @@
 //! `knn_k 10`, one worker thread), each once per failure policy: Strict
 //! solves `L_Y` through the fail-fast tree-preconditioned CG
 //! (`LaplacianSolver::with_tree_preconditioner`), BestEffort through the
-//! escalating ladder starting at its tree rung (`LaplacianSolver::with_ladder`).
+//! escalating tree → dense ladder (`LaplacianSolver::with_ladder`).
 //! A fixed synthetic embedding stands in for the trained GNN, so nothing
 //! trains in a debug test and the digest depends on the analysis alone.
 //!

@@ -117,8 +117,6 @@ fn chaos_run(best_effort: bool, cache_dir: &std::path::Path, seed: u64) -> Vec<u
     let (addr, daemon) = spawn_daemon(ServeConfig {
         workers: 2,
         queue_capacity: 8,
-        downgrade_high: 6,
-        downgrade_low: 2,
         best_effort,
         cache_dir: Some(cache_dir.to_string_lossy().into_owned()),
         ..Default::default()
