@@ -50,6 +50,12 @@ echo "==> test suite (validate + failpoints: engine audits and fault injection)"
 # (tests/knn_hnsw.rs) with the engine's self-audits enabled.
 cargo test -q --features validate,failpoints
 
+echo "==> golden report digests in release (audits compiled out)"
+# Debug builds compile the engine's invariant audits in; the release build
+# that the CLI, serve and perfbench run compiles them out, so the pinned
+# digests are checked on both.
+cargo test --release -q --test report_digest
+
 echo "==> benchmark package (perfbench builds against the public API and passes its tests)"
 # perfbench is a package of its own outside the workspace, so neither the
 # clippy run nor the workspace tests above compile it; without this step a

@@ -1,13 +1,13 @@
-//! Typed stage-graph execution engine behind [`crate::CirStag::analyze`].
+//! Execution engine behind [`crate::CirStag::analyze`].
 //!
-//! The three CirSTAG phases decompose into six typed stages (see DESIGN.md
-//! §5e): `phase1/embedding` → `phase2/manifold-input` →
-//! `phase2/manifold-output` → `phase3/pencil` → `phase3/geig` →
-//! `phase3/dmd`. One executor applies the cross-cutting machinery — stage
-//! fingerprinting, cache lookup/replay, diagnostics segment capture —
-//! uniformly, while the phase driver `run_pipeline` keeps the
-//! *phase-level* semantics (stall failpoints, wall-clock timing, budget
-//! enforcement) exactly where the monolithic pipeline had them.
+//! Algorithm 1 is a fixed chain of five typed stages (see DESIGN.md §5e):
+//! `phase1/embedding` → `phase2/manifold-input` → `phase2/manifold-output`
+//! → `phase3/geig` → `phase3/dmd`. The phase driver calls each stage
+//! function through one executor method, which polls cancellation, keys the
+//! stage, and then either replays it from the cache or computes it and
+//! stores its artifact with the diagnostics segment it emitted. The driver
+//! keeps the *phase-level* semantics: stall failpoints, wall-clock timing
+//! and budget enforcement.
 //!
 //! Caching works per stage: a stage's key fingerprints its inputs
 //! (Merkle-chained artifact fingerprints) plus only the config fields it
@@ -34,8 +34,8 @@ use crate::{
 };
 use cache::Lookup;
 use cirstag_graph::Graph;
-use cirstag_linalg::{fail, par, CsrMatrix, DenseMatrix};
-use cirstag_solver::{GeneralizedEigen, LaplacianSolver, SolverWorkspace};
+use cirstag_linalg::{fail, par, DenseMatrix};
+use cirstag_solver::{GeneralizedEigen, SolverWorkspace};
 use std::time::{Duration, Instant};
 
 /// Saturating millisecond conversion for diagnostics timestamps: a `u128`
@@ -44,100 +44,44 @@ pub(crate) fn millis_u64(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// The Phase-3 Laplacian pencil: `L_X` and the preconditioned `L_Y` solver.
-pub(crate) struct PencilArtifact {
-    /// The input manifold's Laplacian `L_X`.
-    pub lx: CsrMatrix,
-    /// The output manifold's solver (applies `L_Y⁺`).
-    pub ly: LaplacianSolver,
+/// A stage artifact: the typed view of one [`CachedPayload`] variant.
+trait StageOutput: Clone {
+    fn into_payload(self) -> CachedPayload;
+    /// `None` when the payload is another stage's kind.
+    fn from_payload(payload: CachedPayload) -> Option<Self>;
 }
 
-/// A typed value flowing along the stage graph's edges.
-pub(crate) enum Artifact {
-    /// Phase-1 embedding hand-off (`None` = raw-graph manifold path).
-    Embedding(Option<DenseMatrix>),
-    /// A Phase-2 manifold graph.
-    Manifold(Graph),
-    /// The Phase-3 Laplacian pencil (not cacheable; boxed — the solver's
-    /// preconditioner state dwarfs every other variant).
-    Pencil(Box<PencilArtifact>),
-    /// Phase-3 generalized eigenpairs.
-    Eigen(GeneralizedEigen),
-    /// Phase-3 DMD scores.
-    Scores(ScoreSet),
-}
-
-impl Artifact {
-    /// The cacheable projection of this artifact, if it has one.
-    fn to_payload(&self) -> Option<CachedPayload> {
-        match self {
-            Artifact::Embedding(e) => Some(CachedPayload::Embedding(e.clone())),
-            Artifact::Manifold(g) => Some(CachedPayload::Manifold(g.clone())),
-            Artifact::Eigen(geig) => Some(CachedPayload::Eigen(geig.clone())),
-            Artifact::Scores(s) => Some(CachedPayload::Scores(s.clone())),
-            Artifact::Pencil(_) => None,
+macro_rules! stage_output {
+    ($($ty:ty => $variant:ident),* $(,)?) => {$(
+        impl StageOutput for $ty {
+            fn into_payload(self) -> CachedPayload {
+                CachedPayload::$variant(self)
+            }
+            fn from_payload(payload: CachedPayload) -> Option<Self> {
+                match payload {
+                    CachedPayload::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
         }
-    }
-
-    /// Rehydrates an artifact from a cached payload.
-    fn from_payload(payload: CachedPayload) -> Self {
-        match payload {
-            CachedPayload::Embedding(e) => Artifact::Embedding(e),
-            CachedPayload::Manifold(g) => Artifact::Manifold(g),
-            CachedPayload::Eigen(geig) => Artifact::Eigen(geig),
-            CachedPayload::Scores(s) => Artifact::Scores(s),
-        }
-    }
+    )*};
 }
 
-/// Everything a stage may read or append to while running.
-pub(crate) struct StageCtx<'a> {
-    /// Seed-mixed effective configuration.
-    pub cfg: &'a CirStagConfig,
-    /// The circuit graph `G`.
-    pub graph: &'a Graph,
-    /// Optional per-node features.
-    pub features: Option<&'a DenseMatrix>,
-    /// The GNN's output embedding `Y`.
-    pub output_embedding: &'a DenseMatrix,
-    /// Node count (== `graph.num_nodes()`).
-    pub n: usize,
-    /// Run diagnostics; stages append events/warnings here and the
-    /// executor captures the appended segment for cache replay.
-    pub diag: &'a mut RunDiagnostics,
-    /// Shared solver scratch arena.
-    pub ws: &'a mut SolverWorkspace,
-    /// Start instant of the enclosing phase — guard/audit events timestamp
-    /// relative to this, exactly like the monolithic pipeline did.
-    pub phase_start: Instant,
-}
-
-/// One unit of pipeline work with a declared cache contract.
-pub(crate) trait Stage {
-    /// Stable stage name; part of the cache key and the diagnostics.
-    fn name(&self) -> &'static str;
-    /// Whether the stage's artifact (plus diagnostics segment) may be
-    /// cached and replayed.
-    fn cacheable(&self) -> bool;
-    /// Folds the raw data and config fields this stage reads into `fp`.
-    /// Input artifacts are chained by the executor and must not be
-    /// re-declared here.
-    fn fingerprint(&self, ctx: &StageCtx<'_>, fp: &mut Fingerprinter);
-    /// Computes the stage's artifact, appending any fallback events,
-    /// guard events, and warnings to `ctx.diag`.
-    fn run(&self, ctx: &mut StageCtx<'_>, inputs: &[&Artifact]) -> Result<Artifact, CirStagError>;
+stage_output! {
+    Option<DenseMatrix> => Embedding,
+    Graph => Manifold,
+    GeneralizedEigen => Eigen,
+    ScoreSet => Scores,
 }
 
 /// Cache interaction status: the stage's stored segment was replayed.
 const STATUS_REPLAYED: &str = "replayed";
 /// Cache interaction status: the stage ran and its result was stored.
 const STATUS_COMPUTED: &str = "computed";
-/// Cache interaction status: the stage is not cacheable.
-const STATUS_UNCACHED: &str = "uncached";
 
-/// Applies the uniform cross-cutting machinery around every stage: key
-/// derivation, cache lookup/replay, diagnostics segment capture, hit/miss
-/// accounting, and cancellation polling.
+/// Runs every stage the same way: cancellation polling, key derivation,
+/// cache lookup/replay, diagnostics segment capture, and hit/miss
+/// accounting.
 struct Executor<'c> {
     /// The run's cache (`None` for an uncached run).
     cache: Option<&'c ArtifactCache>,
@@ -145,112 +89,90 @@ struct Executor<'c> {
     /// Partition label stamped into stored entries (`None` for whole-design
     /// runs). Metadata only: the stage key already separates segments.
     segment: Option<&'c str>,
+    policy: FailurePolicy,
     hits: usize,
     misses: usize,
     records: Vec<StageCacheRecord>,
 }
 
-impl<'c> Executor<'c> {
-    fn new(
-        cache: Option<&'c ArtifactCache>,
-        cancel: Option<&'c CancelToken>,
-        segment: Option<&'c str>,
-    ) -> Self {
-        Executor {
-            cache,
-            cancel,
-            segment,
-            hits: 0,
-            misses: 0,
-            records: Vec::new(),
-        }
-    }
-
-    fn record(&mut self, stage: &dyn Stage, status: &str) {
+impl Executor<'_> {
+    fn record(&mut self, stage: &str, status: &str) {
         self.records.push(StageCacheRecord {
-            stage: stage.name().to_string(),
+            stage: stage.to_string(),
             status: status.to_string(),
         });
     }
 
-    /// Polls the token, derives the stage key, replays a cached segment on
-    /// a hit, or runs the stage and captures its diagnostics segment on a
-    /// miss.
-    fn run_stage(
+    /// Polls the token and keys stage `name` from its input fingerprints and
+    /// the config fields `fields` writes. Then it replays a cached segment on
+    /// a hit, or runs `compute` and stores its artifact and diagnostics
+    /// segment on a miss.
+    fn stage<T: StageOutput>(
         &mut self,
-        stage: &dyn Stage,
-        ctx: &mut StageCtx<'_>,
-        inputs: &[&Artifact],
-        input_fps: &[Fingerprint],
-    ) -> Result<(Artifact, Fingerprint), CirStagError> {
+        name: &'static str,
+        inputs: &[Fingerprint],
+        fields: impl FnOnce(&mut Fingerprinter),
+        diag: &mut RunDiagnostics,
+        compute: impl FnOnce(&mut RunDiagnostics) -> Result<T, CirStagError>,
+    ) -> Result<(T, Fingerprint), CirStagError> {
         if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(CirStagError::Cancelled {
-                stage: stage.name(),
-            });
+            return Err(CirStagError::Cancelled { stage: name });
         }
         let mut fp = Fingerprinter::new();
         fp.write_str("cirstag-stage/v1");
-        fp.write_str(stage.name());
-        // Run-wide knobs that change which code path produced an artifact.
-        fp.write_bool(ctx.cfg.policy == FailurePolicy::BestEffort);
-        fp.write_usize(ctx.cfg.stage_budget.retry_iter_factor);
+        fp.write_str(name);
+        // Run-wide knob that changes which code path produced an artifact.
+        fp.write_bool(self.policy == FailurePolicy::BestEffort);
         // Audits fire only in validate/debug builds and leave events in the
         // captured segment, so the build flavor is part of the key.
         fp.write_bool(cfg!(any(feature = "validate", debug_assertions)));
-        for f in input_fps {
+        for f in inputs {
             fp.write_fingerprint(*f);
         }
-        stage.fingerprint(ctx, &mut fp);
+        fields(&mut fp);
         let key = fp.finish();
 
-        let cacheable = stage.cacheable();
-        // Single-flight leadership over `key` while a cache miss computes;
+        let Some(cache) = self.cache else {
+            return Ok((compute(diag)?, key));
+        };
+        // Single-flight leadership over `key` while the miss computes;
         // dropped (releasing the key to waiting runs) if the stage errors.
-        let mut lead = None;
-        if let Some(cache) = self.cache.filter(|_| cacheable) {
-            // Disk-layer quarantine events surfaced by the lookup are
-            // appended *before* the segment marks below, so they are never
-            // captured into (and replayed from) the stage's own segment.
-            match cache.lookup_or_lead(key) {
-                Lookup::Hit(hit, disk_events) => {
-                    ctx.diag.events.extend(disk_events);
-                    ctx.diag.events.extend(hit.events);
-                    ctx.diag.warnings.extend(hit.warnings);
-                    ctx.diag.approx_knn.extend(hit.knn);
-                    self.hits += 1;
-                    self.record(stage, STATUS_REPLAYED);
-                    return Ok((Artifact::from_payload(hit.payload), key));
-                }
-                Lookup::Lead(guard, disk_events) => {
-                    ctx.diag.events.extend(disk_events);
-                    lead = Some(guard);
-                }
+        // Disk-layer quarantine events surfaced by the lookup are appended
+        // *before* the segment marks below, so they are never captured into
+        // (and replayed from) the stage's own segment.
+        let lead = match cache.lookup_or_lead(key) {
+            Lookup::Hit(hit, disk_events) => {
+                diag.events.extend(disk_events);
+                let value =
+                    T::from_payload(hit.payload).ok_or_else(|| CirStagError::InvalidArgument {
+                        reason: format!("cache entry for {name} holds another stage's artifact"),
+                    })?;
+                diag.events.extend(hit.events);
+                diag.warnings.extend(hit.warnings);
+                diag.approx_knn.extend(hit.knn);
+                self.hits += 1;
+                self.record(name, STATUS_REPLAYED);
+                return Ok((value, key));
             }
-        }
-        let ev_mark = ctx.diag.events.len();
-        let warn_mark = ctx.diag.warnings.len();
-        let knn_mark = ctx.diag.approx_knn.len();
-        let artifact = stage.run(ctx, inputs)?;
-        if let Some(guard) = lead {
-            if let Some(payload) = artifact.to_payload() {
-                guard.fulfill(CachedArtifact {
-                    payload,
-                    events: ctx.diag.events.get(ev_mark..).unwrap_or(&[]).to_vec(),
-                    warnings: ctx.diag.warnings.get(warn_mark..).unwrap_or(&[]).to_vec(),
-                    knn: ctx.diag.approx_knn.get(knn_mark..).unwrap_or(&[]).to_vec(),
-                    segment: self.segment.map(str::to_string),
-                });
+            Lookup::Lead(guard, disk_events) => {
+                diag.events.extend(disk_events);
+                guard
             }
-        }
-        if self.cache.is_some() {
-            if cacheable {
-                self.misses += 1;
-                self.record(stage, STATUS_COMPUTED);
-            } else {
-                self.record(stage, STATUS_UNCACHED);
-            }
-        }
-        Ok((artifact, key))
+        };
+        let ev_mark = diag.events.len();
+        let warn_mark = diag.warnings.len();
+        let knn_mark = diag.approx_knn.len();
+        let value = compute(diag)?;
+        lead.fulfill(CachedArtifact {
+            payload: value.clone().into_payload(),
+            events: diag.events.get(ev_mark..).unwrap_or(&[]).to_vec(),
+            warnings: diag.warnings.get(warn_mark..).unwrap_or(&[]).to_vec(),
+            knn: diag.approx_knn.get(knn_mark..).unwrap_or(&[]).to_vec(),
+            segment: self.segment.map(str::to_string),
+        });
+        self.misses += 1;
+        self.record(name, STATUS_COMPUTED);
+        Ok((value, key))
     }
 }
 
@@ -291,8 +213,8 @@ fn enforce_budget(
     }
 }
 
-/// Runs the full stage graph: validation, seed mixing, the three phases
-/// with their stall failpoints and budgets, and report assembly.
+/// Runs Algorithm 1: validation, seed mixing, the five stages under their
+/// phases' stall failpoints and budgets, and report assembly.
 ///
 /// This is the single implementation behind [`crate::CirStag::analyze`]
 /// (`cache = None`), [`crate::CirStag::analyze_cached`], and
@@ -350,25 +272,27 @@ pub(crate) fn run_pipeline(
     // Phase-3 generalized Lanczos share length-`n` vectors, so buffers
     // warmed in Phase 1 are reused in Phase 3 instead of reallocated.
     let mut ws = SolverWorkspace::new();
-    let mut exec = Executor::new(cache, cancel, segment);
+    let mut exec = Executor {
+        cache,
+        cancel,
+        segment,
+        policy: cfg.policy,
+        hits: 0,
+        misses: 0,
+        records: Vec::new(),
+    };
 
     // ---- Phase 1: input/output embedding matrices -------------------
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let t0 = Instant::now();
     fail::trigger("phase1/stall");
-    let (embedding_art, embedding_fp) = {
-        let mut ctx = StageCtx {
-            cfg,
-            graph: input_graph,
-            features: node_features,
-            output_embedding,
-            n,
-            diag: &mut diag,
-            ws: &mut ws,
-            phase_start: t0,
-        };
-        exec.run_stage(&stages::EmbeddingStage, &mut ctx, &[], &[])?
-    };
+    let (embedding, embedding_fp) = exec.stage(
+        "phase1/embedding",
+        &[],
+        |fp| stages::embedding_key(cfg, input_graph, node_features, fp),
+        &mut diag,
+        |diag| stages::embedding(cfg, input_graph, node_features, diag, &mut ws, t0),
+    )?;
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let phase1 = t0.elapsed();
     enforce_budget("phase1", phase1, cfg, &mut diag)?;
@@ -377,31 +301,23 @@ pub(crate) fn run_pipeline(
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let t1 = Instant::now();
     fail::trigger("phase2/stall");
-    let (input_manifold_art, input_manifold_fp, output_manifold_art, output_manifold_fp) = {
-        let mut ctx = StageCtx {
-            cfg,
-            graph: input_graph,
-            features: node_features,
-            output_embedding,
-            n,
-            diag: &mut diag,
-            ws: &mut ws,
-            phase_start: t1,
-        };
-        let (min_art, min_fp) = exec.run_stage(
-            &stages::InputManifoldStage,
-            &mut ctx,
-            &[&embedding_art],
-            &[embedding_fp],
-        )?;
-        let (mout_art, mout_fp) = exec.run_stage(
-            &stages::OutputManifoldStage,
-            &mut ctx,
-            &[&min_art],
-            &[min_fp],
-        )?;
-        (min_art, min_fp, mout_art, mout_fp)
-    };
+    let (input_manifold, input_manifold_fp) = exec.stage(
+        "phase2/manifold-input",
+        &[embedding_fp],
+        |fp| stages::write_phase2_cfg(cfg, fp),
+        &mut diag,
+        |diag| stages::input_manifold(cfg, input_graph, embedding.as_ref(), diag),
+    )?;
+    let (output_manifold, output_manifold_fp) = exec.stage(
+        "phase2/manifold-output",
+        &[input_manifold_fp],
+        |fp| {
+            fp.write_matrix(output_embedding);
+            stages::write_phase2_cfg(cfg, fp);
+        },
+        &mut diag,
+        |diag| stages::output_manifold(cfg, output_embedding, &input_manifold, diag, t1),
+    )?;
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let phase2 = t1.elapsed();
     enforce_budget("phase2", phase2, cfg, &mut diag)?;
@@ -410,52 +326,23 @@ pub(crate) fn run_pipeline(
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let t2 = Instant::now();
     fail::trigger("phase3/stall");
-    let scores_art = {
-        let mut ctx = StageCtx {
-            cfg,
-            graph: input_graph,
-            features: node_features,
-            output_embedding,
-            n,
-            diag: &mut diag,
-            ws: &mut ws,
-            phase_start: t2,
-        };
-        let (pencil_art, pencil_fp) = exec.run_stage(
-            &stages::PencilStage,
-            &mut ctx,
-            &[&input_manifold_art, &output_manifold_art],
-            &[input_manifold_fp, output_manifold_fp],
-        )?;
-        let (geig_art, geig_fp) =
-            exec.run_stage(&stages::GeigStage, &mut ctx, &[&pencil_art], &[pencil_fp])?;
-        let (scores_art, _scores_fp) = exec.run_stage(
-            &stages::DmdStage,
-            &mut ctx,
-            &[&geig_art, &input_manifold_art],
-            &[geig_fp, input_manifold_fp],
-        )?;
-        scores_art
-    };
+    let (geig, geig_fp) = exec.stage(
+        "phase3/geig",
+        &[input_manifold_fp, output_manifold_fp],
+        |fp| stages::geig_key(cfg, fp),
+        &mut diag,
+        |diag| stages::geig(cfg, &input_manifold, &output_manifold, diag, &mut ws, t2),
+    )?;
+    let (scores, _) = exec.stage(
+        "phase3/dmd",
+        &[geig_fp, input_manifold_fp],
+        |_| {},
+        &mut diag,
+        |diag| stages::dmd(cfg, &geig, &input_manifold, diag, t2),
+    )?;
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let phase3 = t2.elapsed();
     enforce_budget("phase3", phase3, cfg, &mut diag)?;
-
-    let Artifact::Scores(scores) = scores_art else {
-        return Err(CirStagError::InvalidArgument {
-            reason: "internal: phase3/dmd produced a non-score artifact".to_string(),
-        });
-    };
-    let Artifact::Manifold(input_manifold) = input_manifold_art else {
-        return Err(CirStagError::InvalidArgument {
-            reason: "internal: phase2/manifold-input produced a non-manifold artifact".to_string(),
-        });
-    };
-    let Artifact::Manifold(output_manifold) = output_manifold_art else {
-        return Err(CirStagError::InvalidArgument {
-            reason: "internal: phase2/manifold-output produced a non-manifold artifact".to_string(),
-        });
-    };
 
     diag.cache = exec.records;
     let degraded = !diag.events.is_empty();

@@ -30,9 +30,10 @@ pub struct ReportExport {
     pub fallback_events: Vec<FallbackEvent>,
     /// Stages replayed from the artifact cache (`0` for uncached runs).
     pub cache_hits: usize,
-    /// Cacheable stages that had to compute (`0` for uncached runs).
+    /// Stages that had to compute (`0` for uncached runs).
     pub cache_misses: usize,
-    /// Per-stage cache status in execution order (empty for uncached runs).
+    /// Cache status of each of the five engine stages, `"replayed"` or
+    /// `"computed"`, in execution order (empty for uncached runs).
     pub stage_cache: Vec<StageCacheRecord>,
     /// Approximate-kNN diagnostics, one per manifold stage that used an
     /// approximate method (empty for exact runs).

@@ -102,7 +102,7 @@ pub struct PhaseTimings {
     pub threads: usize,
     /// Stages replayed from the artifact cache (`0` for uncached runs).
     pub cache_hits: usize,
-    /// Cacheable stages that had to compute (`0` for uncached runs).
+    /// Stages that had to compute (`0` for uncached runs).
     pub cache_misses: usize,
 }
 
@@ -465,12 +465,22 @@ mod tests {
             assert_eq!(report.output_manifold, cold.output_manifold);
             assert_eq!(report.degraded, cold.degraded);
         }
-        // The pencil stage is not cacheable and always recomputes.
-        assert!(warm
+        let records: Vec<(&str, &str)> = warm
             .diagnostics
             .cache
             .iter()
-            .any(|r| r.stage == "phase3/pencil" && r.status == "uncached"));
+            .map(|r| (r.stage.as_str(), r.status.as_str()))
+            .collect();
+        assert_eq!(
+            records,
+            [
+                ("phase1/embedding", "replayed"),
+                ("phase2/manifold-input", "replayed"),
+                ("phase2/manifold-output", "replayed"),
+                ("phase3/geig", "replayed"),
+                ("phase3/dmd", "replayed"),
+            ]
+        );
         assert!(warm.timings.summary().contains("cache 5 hits / 0 misses"));
     }
 

@@ -32,9 +32,9 @@ pub enum FailurePolicy {
 
 /// Cooperative cancellation handle for an in-flight analysis.
 ///
-/// The stage-graph engine polls the token between stages: a run whose token
-/// is cancelled — explicitly via [`CancelToken::cancel`] or implicitly by an
-/// expired deadline — stops at the next stage boundary with
+/// The engine polls the token before each of its five stages: a run whose
+/// token is cancelled — explicitly via [`CancelToken::cancel`] or implicitly
+/// by an expired deadline — stops at the next stage boundary with
 /// [`crate::CirStagError::Cancelled`] instead of finishing. The token is
 /// cheaply cloneable and thread-safe, so a server can hand one clone to the
 /// worker running the pipeline and keep another to enforce per-request
@@ -102,7 +102,7 @@ impl CancelToken {
 }
 
 /// Per-stage resource budgets.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBudget {
     /// Wall-clock budget per pipeline phase, in milliseconds. `None` (the
     /// default) disables the check. Exceeding the budget is a
@@ -110,18 +110,6 @@ pub struct StageBudget {
     /// [`FailurePolicy::Strict`] and a recorded degradation under
     /// [`FailurePolicy::BestEffort`].
     pub wall_clock_ms: Option<u64>,
-    /// Multiplier applied to the iteration budget on an eigensolver retry
-    /// (the "enlarged Krylov budget" rung of the Phase-1/Phase-3 ladders).
-    pub retry_iter_factor: usize,
-}
-
-impl Default for StageBudget {
-    fn default() -> Self {
-        StageBudget {
-            wall_clock_ms: None,
-            retry_iter_factor: 4,
-        }
-    }
 }
 
 /// One fallback-ladder escalation recorded during an analysis.
@@ -155,9 +143,8 @@ pub struct StageCacheRecord {
     /// Engine stage name (e.g. `"phase1/embedding"`, `"phase3/geig"`).
     pub stage: String,
     /// What happened: `"replayed"` (cache hit — the stored artifact and
-    /// diagnostics segment were reused), `"computed"` (cache miss — the
-    /// stage ran and its result was stored), or `"uncached"` (the stage is
-    /// not cacheable and always runs).
+    /// diagnostics segment were reused) or `"computed"` (cache miss — the
+    /// stage ran and its result was stored).
     pub status: String,
 }
 
@@ -335,7 +322,6 @@ mod tests {
     fn budget_defaults_are_open() {
         let b = StageBudget::default();
         assert_eq!(b.wall_clock_ms, None);
-        assert_eq!(b.retry_iter_factor, 4);
     }
 
     #[test]

@@ -263,7 +263,7 @@ mod failpoints {
     use super::*;
     use cirstag_suite::core::failpoint as fp;
     use cirstag_suite::core::{
-        ArtifactCache, FailurePolicy, ReportExport, StabilityReport, StageBudget,
+        ArtifactCache, CancelToken, FailurePolicy, ReportExport, StabilityReport, StageBudget,
     };
     use cirstag_suite::solver::{CgOptions, LadderRung, LaplacianSolver};
     use std::sync::{mpsc, Arc, MutexGuard};
@@ -583,17 +583,54 @@ mod failpoints {
         rerun_thread.join().expect("rerun thread panicked");
         assert_eq!(rerun.timings.cache_hits, 3);
         assert_eq!(rerun.timings.cache_misses, 2);
+        assert_bit_identical(&rerun, &analyzer.analyze(&g, None, &emb).unwrap());
+    }
 
-        let uncached = analyzer.analyze(&g, None, &emb).unwrap();
+    /// A deadline that expires inside a phase stops the run at the next
+    /// stage boundary, and the stage that finished before it stays cached:
+    /// the rerun on the same cache replays Phase 1 (1 hit), computes the
+    /// other four stages (4 misses), and matches an uncached run bit for bit.
+    #[test]
+    fn deadline_cancels_at_the_next_stage_boundary() {
+        let _s = serial();
+        let g = ring(20);
+        let emb = circle_embedding(20);
+        let analyzer = CirStag::new(cfg(FailurePolicy::Strict));
+        let cache = ArtifactCache::new();
+        fp::arm("phase2/stall", fp::FailAction::StallMs(600), 1);
+        let deadline = CancelToken::with_deadline(Duration::from_millis(200));
+        let err = analyzer
+            .analyze_cached(&g, None, &emb, &cache, Some(&deadline))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CirStagError::Cancelled {
+                    stage: "phase2/manifold-input"
+                }
+            ),
+            "got {err:?}"
+        );
+
+        let rerun = analyzer
+            .analyze_cached(&g, None, &emb, &cache, None)
+            .unwrap();
+        assert_eq!(rerun.timings.cache_hits, 1);
+        assert_eq!(rerun.timings.cache_misses, 4);
+        assert_bit_identical(&rerun, &analyzer.analyze(&g, None, &emb).unwrap());
+    }
+
+    /// Every result bit of `a` equals `b`'s (timings and cache records aside).
+    fn assert_bit_identical(a: &StabilityReport, b: &StabilityReport) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&rerun.node_scores), bits(&uncached.node_scores));
-        assert_eq!(bits(&rerun.eigenvalues), bits(&uncached.eigenvalues));
-        assert_eq!(rerun.edge_scores, uncached.edge_scores);
-        assert_eq!(rerun.input_manifold, uncached.input_manifold);
-        assert_eq!(rerun.output_manifold, uncached.output_manifold);
-        assert_eq!(rerun.degraded, uncached.degraded);
-        assert_eq!(rerun.diagnostics.events, uncached.diagnostics.events);
-        assert_eq!(rerun.diagnostics.warnings, uncached.diagnostics.warnings);
+        assert_eq!(bits(&a.node_scores), bits(&b.node_scores));
+        assert_eq!(bits(&a.eigenvalues), bits(&b.eigenvalues));
+        assert_eq!(a.edge_scores, b.edge_scores);
+        assert_eq!(a.input_manifold, b.input_manifold);
+        assert_eq!(a.output_manifold, b.output_manifold);
+        assert_eq!(a.degraded, b.degraded);
+        assert_eq!(a.diagnostics.events, b.diagnostics.events);
+        assert_eq!(a.diagnostics.warnings, b.diagnostics.warnings);
     }
 
     // ---- NaN sentinels between phases ------------------------------------
@@ -657,7 +694,6 @@ mod failpoints {
         let with_budget = |policy| CirStagConfig {
             stage_budget: StageBudget {
                 wall_clock_ms: Some(150),
-                ..StageBudget::default()
             },
             ..cfg(policy)
         };
