@@ -42,6 +42,11 @@ cargo build --release
 echo "==> release build (serial: --no-default-features)"
 cargo build --release --no-default-features
 
+echo "==> golden report digests on the serial stack"
+# The serial fallback must give the same bits as the parallel stack, so the
+# serial build answers to the same pinned digests.
+cargo test --release --no-default-features -q --test report_digest
+
 echo "==> test suite (every workspace member: unit tests, crates/*/tests, root tests)"
 cargo test -q --workspace
 

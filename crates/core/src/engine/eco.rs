@@ -2,7 +2,7 @@
 //!
 //! The unit of computation here is a *partition*: the subgraph induced by a
 //! partition's owned nodes plus every node within `halo_depth` hops. Each
-//! partition runs the full six-stage pipeline on its subgraph — restricted
+//! partition runs the full five-stage pipeline on its subgraph — restricted
 //! feature rows and output-embedding rows included — and its owned-node
 //! scores are spliced into the global report. Because every sub-pipeline is
 //! deterministic, a warm run (untouched partitions replaying from cache,

@@ -1,8 +1,8 @@
-//! Content fingerprints for the stage-graph artifact cache.
+//! Content fingerprints for the per-stage artifact cache.
 //!
 //! Every stage key is a 128-bit [`Fingerprint`] produced by hashing, in
 //! order: an engine schema tag, the stage name, the run-wide knobs that
-//! change *behavior* (failure policy, retry budget, audit build flavor),
+//! change *behavior* (failure policy, audit build flavor),
 //! the fingerprints of the stage's input artifacts (Merkle-style chaining),
 //! and finally the raw data plus config fields the stage itself declares it
 //! reads. Fields a stage does not read — most importantly `num_threads`

@@ -106,7 +106,9 @@ impl Executor<'_> {
     /// Polls the token and keys stage `name` from its input fingerprints and
     /// the config fields `fields` writes. Then it replays a cached segment on
     /// a hit, or runs `compute` and stores its artifact and diagnostics
-    /// segment on a miss.
+    /// segment on a miss. An uncached run skips `fields`, whose raw data
+    /// (graph, features, output embedding) is the costly part of a key, and
+    /// returns the key prefix, which nothing looks up.
     fn stage<T: StageOutput>(
         &mut self,
         name: &'static str,
@@ -129,12 +131,11 @@ impl Executor<'_> {
         for f in inputs {
             fp.write_fingerprint(*f);
         }
+        let Some(cache) = self.cache else {
+            return Ok((compute(diag)?, fp.finish()));
+        };
         fields(&mut fp);
         let key = fp.finish();
-
-        let Some(cache) = self.cache else {
-            return Ok((compute(diag)?, key));
-        };
         // Single-flight leadership over `key` while the miss computes;
         // dropped (releasing the key to waiting runs) if the stage errors.
         // Disk-layer quarantine events surfaced by the lookup are appended

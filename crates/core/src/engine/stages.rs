@@ -323,7 +323,8 @@ pub(crate) fn geig_key(cfg: &CirStagConfig, fp: &mut Fingerprinter) {
 /// Phase 3a: the generalized eigensolve `L_Y⁺ L_X v = ζ v`. It assembles
 /// the pencil first — `L_X`, the Laplacian audit, and the preconditioned
 /// `L_Y` solver — so only a cache miss pays for it. Then it climbs the
-/// eigensolver ladder and surfaces the inner CG ladder's escalations.
+/// eigensolver ladder, the only fallback in Phase 3: a CG failure inside
+/// an `L_Y` solve fails the Lanczos rung it belongs to.
 pub(crate) fn geig(
     cfg: &CirStagConfig,
     input_manifold: &Graph,
@@ -360,20 +361,14 @@ pub(crate) fn geig(
         tol: 1e-6,
         max_iter: 10_000,
     };
-    // Strict keeps the historical fail-fast solver; BestEffort lets the
-    // inner CG escalate tree → dense instead of surfacing NoConvergence.
-    let ly = if cfg.policy == FailurePolicy::BestEffort {
-        LaplacianSolver::with_ladder(output_manifold, ly_options)?
-    } else {
-        LaplacianSolver::with_tree_preconditioner(output_manifold, ly_options)?
-    };
+    let ly = LaplacianSolver::with_tree_preconditioner(output_manifold, ly_options)?;
     let n = lx.nrows();
     let s = cfg.num_eigenpairs.min(n.saturating_sub(2)).max(1);
     let retry_iters = cfg.geig_max_iter.saturating_mul(RETRY_ITER_FACTOR);
     // Generalized Lanczos → re-seeded retry with an enlarged iteration
     // budget → dense generalized eigensolver → a zero spectrum, which
     // yields all-zero stability scores.
-    let geig = ladder(
+    ladder(
         "phase3/geig",
         &["retry", "dense", "degraded"],
         cfg.policy,
@@ -393,18 +388,7 @@ pub(crate) fn geig(
             let warning = "phase3 generalized eigensolve failed on every rung; reporting a zero spectrum and zero scores";
             (zero, warning.to_string())
         },
-    )?;
-    // Surface the inner CG ladder's escalations.
-    for ev in ly.take_events() {
-        diag.events.push(FallbackEvent {
-            stage: "phase3/cg".to_string(),
-            rung: ev.to.name().to_string(),
-            cause: ev.cause,
-            residual: ev.residual.filter(|r| r.is_finite()),
-            elapsed_ms: ev.elapsed_ms,
-        });
-    }
-    Ok(geig)
+    )
 }
 
 /// Phase 3b: DMD edge/node scores (Eq. 9) with the finiteness guardrail.

@@ -62,7 +62,7 @@ pub struct CirStagConfig {
     /// the default and historical behavior) or climb the fallback ladders and
     /// finish degraded ([`FailurePolicy::BestEffort`]).
     pub policy: FailurePolicy,
-    /// Per-stage wall-clock and retry budgets.
+    /// Per-phase wall-clock budget.
     pub stage_budget: StageBudget,
 }
 

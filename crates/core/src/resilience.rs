@@ -116,7 +116,7 @@ pub struct StageBudget {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FallbackEvent {
     /// Pipeline stage the event belongs to (e.g. `"phase1/eigs"`,
-    /// `"phase2/cg"`, `"phase3/geig"`).
+    /// `"phase2/pgm-input"`, `"phase3/geig"`).
     pub stage: String,
     /// The ladder rung that ran as a consequence (e.g. `"retry"`,
     /// `"dense"`, `"degraded"`).

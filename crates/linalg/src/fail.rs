@@ -10,9 +10,8 @@
 //!
 //! Naming scheme: `<stage>/<site>`, with the stage matching the pipeline
 //! phase or solver that hosts the site (`solver/lanczos`, `solver/geig`,
-//! `solver/cg`, `solver/cg-block-column`, `solver/dense-solve`,
-//! `solver/dense-geig`, `phase1/nan`, `phase1/stall`, `phase2/stall`,
-//! `phase3/nan`, `phase3/stall`).
+//! `solver/cg`, `solver/dense-geig`, `phase1/nan`, `phase1/stall`,
+//! `phase2/stall`, `phase3/nan`, `phase3/stall`).
 //!
 //! The whole registry is compiled out unless the `failpoints` cargo feature
 //! is enabled: without it [`check`] is an inline `None` and the arming API

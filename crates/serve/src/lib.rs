@@ -1,6 +1,6 @@
 //! `cirstag-serve`: a resident analysis daemon for the CirSTAG pipeline.
 //!
-//! The daemon (`cirstag serve`) keeps trained designs, the stage-graph
+//! The daemon (`cirstag serve`) keeps trained designs, the per-stage
 //! artifact cache, and a worker pool resident in one process, and answers
 //! newline-delimited JSON requests over TCP. The robustness posture:
 //!

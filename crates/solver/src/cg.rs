@@ -19,23 +19,18 @@ pub trait Preconditioner {
     /// Computes `z ← M⁻¹ r` column-wise over row-major `ncols`-wide panels
     /// (`r[i * ncols + j]` is entry `(i, j)`).
     ///
-    /// The provided implementation sends a single column straight to
-    /// [`Preconditioner::apply`] and otherwise gathers each column into
-    /// workspace scratch and delegates to `apply`; implementations with
-    /// structure to exploit (diagonal scaling, tree sweeps) override it with
-    /// a fused panel kernel. Column `j` of the result must be bit-identical
-    /// to `apply` on column `j` alone — the block solver's equivalence to
-    /// per-vector CG rests on that contract.
+    /// Column `j` of the result must be bit-identical to `apply` on column
+    /// `j` alone — the block solver's equivalence to per-vector CG rests on
+    /// that contract.
     ///
-    /// An override must keep the single-column shortcut. The scalar CG loop
-    /// applies its preconditioner through this method with `ncols == 1` on
-    /// every iteration, so that case must run a scalar kernel (`apply`, or
-    /// an allocation-free equivalent drawing its scratch from `ws`), never
-    /// the panel kernel. A `k`-wide sweep over one-element rows pays its
-    /// per-row slicing and scratch set-up on every entry: on a 3,828-node
-    /// Laplacian the tree preconditioner's panel sweep at `k = 1` took about
-    /// four times as long as its scalar sweep, which made tree-preconditioned
-    /// CG iterations nearly twice as slow.
+    /// The scalar CG loop applies its preconditioner through this method
+    /// with `ncols == 1` on every iteration, so that case must run a scalar
+    /// kernel (`apply`, or an allocation-free equivalent drawing its scratch
+    /// from `ws`), never the panel kernel. A `k`-wide sweep over one-element
+    /// rows pays its per-row slicing and scratch set-up on every entry: on a
+    /// 3,828-node Laplacian the tree preconditioner's panel sweep at `k = 1`
+    /// took about four times as long as its scalar sweep, which made
+    /// tree-preconditioned CG iterations nearly twice as slow.
     ///
     /// # Errors
     ///
@@ -48,39 +43,7 @@ pub trait Preconditioner {
         z: &mut [f64],
         ncols: usize,
         ws: &mut SolverWorkspace,
-    ) -> Result<(), SolverError> {
-        if ncols == 1 {
-            return self.apply(r, z);
-        }
-        if r.len() != z.len() || (ncols > 0 && !r.len().is_multiple_of(ncols)) {
-            return Err(SolverError::DimensionMismatch {
-                expected: z.len(),
-                actual: r.len(),
-            });
-        }
-        if ncols == 0 {
-            return Ok(());
-        }
-        let n = r.len() / ncols;
-        let mut rc = ws.take(n);
-        let mut zc = ws.take(n);
-        let mut out = Ok(());
-        for j in 0..ncols {
-            for (i, ri) in rc.iter_mut().enumerate() {
-                *ri = r[i * ncols + j];
-            }
-            out = self.apply(&rc, &mut zc);
-            if out.is_err() {
-                break;
-            }
-            for (i, &zi) in zc.iter().enumerate() {
-                z[i * ncols + j] = zi;
-            }
-        }
-        ws.put(zc);
-        ws.put(rc);
-        out
-    }
+    ) -> Result<(), SolverError>;
 }
 
 /// The identity preconditioner (plain CG).
@@ -337,7 +300,7 @@ where
     }
     let b_norm = vecops::norm2(b);
     // Failpoint: force "CG exhausted its budget" so tests can drive the
-    // preconditioner escalation ladder deterministically.
+    // Phase-2 and Phase-3 stage ladders above this solver deterministically.
     if cirstag_linalg::fail::trigger("solver/cg").is_some() {
         x.fill(0.0);
         return Ok(CgStats {
@@ -706,15 +669,6 @@ where
             0
         };
         active_count += bufs.active[j];
-    }
-    // Failpoint: poison the lowest-indexed live column before round 0 so
-    // tests can watch the fallback ladder retry it while the others stay
-    // converged and untouched.
-    if cirstag_linalg::fail::trigger("solver/cg-block-column").is_some() {
-        if let Some(j) = (0..k).find(|&j| bufs.active[j] == 1) {
-            bufs.active[j] = 0;
-            active_count -= 1;
-        }
     }
 
     bufs.r.copy_from_slice(b.as_slice());

@@ -57,7 +57,7 @@ pub use lanczos::{
     lanczos_largest, lanczos_largest_ws, smallest_normalized_laplacian_eigs,
     smallest_normalized_laplacian_eigs_ws, LanczosResult,
 };
-pub use laplacian::{LadderRung, LaplacianSolver, SolveEvent};
+pub use laplacian::LaplacianSolver;
 pub use operators::{CsrOperator, LinearOperator, PanelOperator, ScaledShiftedOperator};
 pub use resistance::ResistanceEstimator;
 pub use tree_precond::TreePreconditioner;

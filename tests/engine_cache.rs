@@ -1,4 +1,4 @@
-//! Property-based correctness of the stage-graph artifact cache: for any
+//! Property-based correctness of the per-stage artifact cache: for any
 //! graph and any pair of configs differing only in Phase-3 fields, an
 //! incremental re-run (Phase-1/2 artifacts replayed from cache) must be
 //! bit-identical to a cold run of the same config — scores, eigenvalues,

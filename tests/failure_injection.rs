@@ -265,7 +265,6 @@ mod failpoints {
     use cirstag_suite::core::{
         ArtifactCache, CancelToken, FailurePolicy, ReportExport, StabilityReport, StageBudget,
     };
-    use cirstag_suite::solver::{CgOptions, LadderRung, LaplacianSolver};
     use std::sync::{mpsc, Arc, MutexGuard};
     use std::time::Duration;
 
@@ -388,118 +387,6 @@ mod failpoints {
         assert_eq!(fp::hits("solver/lanczos"), 1);
     }
 
-    // ---- CG ladder (Tree -> Dense) ------------------------------------------
-
-    #[test]
-    fn cg_ladder_escalates_rung_by_rung_to_dense() {
-        let _s = serial();
-        let g = ring(12);
-        let solver = LaplacianSolver::with_ladder(&g, CgOptions::default()).unwrap();
-        // One CG failure steps Tree -> Dense.
-        fp::arm("solver/cg", fp::FailAction::Error, 1);
-        let mut b = vec![0.0; 12];
-        b[0] = 1.0;
-        b[5] = -1.0;
-        let x = solver.solve(&b).unwrap();
-        assert_eq!(solver.current_rung(), LadderRung::Dense);
-        let events = solver.take_events();
-        let path: Vec<_> = events.iter().map(|e| e.to.name()).collect();
-        assert_eq!(path, vec!["dense"]);
-        assert_eq!(events[0].from, LadderRung::Tree);
-        // The dense rung must still solve the (centered) system accurately.
-        let lap = g.laplacian();
-        let lx = lap.mul_vec(&x);
-        for i in 0..12 {
-            assert!(
-                (lx[i] - b[i]).abs() < 1e-6,
-                "residual at {i}: {}",
-                lx[i] - b[i]
-            );
-        }
-        // Escalation is sticky: the next solve stays on Dense, no new events.
-        let _ = solver.solve(&b).unwrap();
-        assert!(solver.take_events().is_empty());
-        assert_eq!(solver.current_rung(), LadderRung::Dense);
-    }
-
-    #[test]
-    fn block_column_failpoint_escalates_without_poisoning_converged_columns() {
-        let _s = serial();
-        let g = grid(5);
-        let n = g.num_nodes();
-        // One RHS column per probe edge: b = e_u − e_v.
-        let probes: Vec<(usize, usize)> = g.edges().iter().take(3).map(|e| (e.u, e.v)).collect();
-        let mut b = DenseMatrix::zeros(n, probes.len());
-        for (j, &(u, v)) in probes.iter().enumerate() {
-            b.set(u, j, 1.0);
-            b.set(v, j, -1.0);
-        }
-
-        // Reference: the same panel through an unpoisoned escalating solver.
-        let clean_solver = LaplacianSolver::with_ladder(&g, CgOptions::default()).unwrap();
-        let clean = clean_solver.solve_block(&b).unwrap();
-        assert!(
-            clean_solver.take_events().is_empty(),
-            "clean run must not escalate"
-        );
-
-        // Poisoned: the failpoint freezes the lowest-indexed live column
-        // before round 0, so it exhausts the tree rung while the other
-        // columns converge normally and are frozen into the result.
-        fp::arm("solver/cg-block-column", fp::FailAction::Error, 1);
-        let solver = LaplacianSolver::with_ladder(&g, CgOptions::default()).unwrap();
-        let x = solver.solve_block(&b).unwrap();
-        let events = solver.take_events();
-        assert_eq!(events.len(), 1, "exactly one escalation: {events:?}");
-        assert_eq!(events[0].to, LadderRung::Dense);
-        assert!(
-            events[0].cause.contains("block"),
-            "cause names the block solver: {}",
-            events[0].cause
-        );
-
-        // The columns that converged on the first rung were never retried:
-        // bit-identical to the clean run.
-        for j in 1..probes.len() {
-            for i in 0..n {
-                assert_eq!(
-                    x.get(i, j).to_bits(),
-                    clean.get(i, j).to_bits(),
-                    "converged column {j} was poisoned at row {i}"
-                );
-            }
-        }
-        // The failed column was re-solved on the dense rung: different float
-        // path, but still an accurate solution of the same system.
-        for i in 0..n {
-            assert!(x.get(i, 0).is_finite());
-            assert!(
-                (x.get(i, 0) - clean.get(i, 0)).abs() < 1e-6,
-                "retried column drifted at row {i}: {} vs {}",
-                x.get(i, 0),
-                clean.get(i, 0)
-            );
-        }
-    }
-
-    #[test]
-    fn pipeline_reports_phase3_cg_escalation() {
-        let _s = serial();
-        // With sparsification skipped, the only CG user is the Phase-3
-        // generalized eigensolver's inner L_Y solve.
-        fp::arm("solver/cg", fp::FailAction::Error, 1);
-        let g = ring(20);
-        let report = CirStag::new(CirStagConfig {
-            skip_manifold_sparsification: true,
-            ..cfg(FailurePolicy::BestEffort)
-        })
-        .analyze(&g, None, &circle_embedding(20))
-        .unwrap();
-        assert!(report.degraded);
-        assert_eq!(rungs_for(&report, "phase3/cg"), vec!["dense"]);
-        assert_finite(&report);
-    }
-
     // ---- Phase 2 ladder --------------------------------------------------
 
     #[test]
@@ -534,6 +421,62 @@ mod failpoints {
         // The dense generalized eigensolver produced a real spectrum, not the
         // zero-spectrum terminal rung.
         assert!(report.eigenvalues[0] > 0.0);
+    }
+
+    /// With sparsification skipped, the only CG user is Phase 3's `L_Y`
+    /// solve inside the generalized Lanczos iteration. The solver fails
+    /// fast, so a CG failure fails that Lanczos rung and climbs the one
+    /// `phase3/geig` ladder.
+    #[test]
+    fn pipeline_reports_phase3_cg_escalation() {
+        let _s = serial();
+        let g = ring(20);
+        let analyzer = CirStag::new(CirStagConfig {
+            skip_manifold_sparsification: true,
+            ..cfg(FailurePolicy::BestEffort)
+        });
+        // One failure: the re-seeded retry converges.
+        fp::arm("solver/cg", fp::FailAction::Error, 1);
+        let once = analyzer.analyze(&g, None, &circle_embedding(20)).unwrap();
+        assert!(once.degraded);
+        assert_eq!(rungs_for(&once, "phase3/geig"), vec!["retry"]);
+        assert_finite(&once);
+        // Every CG fails: both Lanczos rungs fail and the dense pencil
+        // solve, which runs no CG, answers.
+        fp::reset();
+        fp::arm_always("solver/cg", fp::FailAction::Error);
+        let always = analyzer.analyze(&g, None, &circle_embedding(20)).unwrap();
+        assert!(always.degraded);
+        assert_eq!(rungs_for(&always, "phase3/geig"), vec!["retry", "dense"]);
+        assert_finite(&always);
+        assert!(always.eigenvalues[0] > 0.0);
+    }
+
+    #[test]
+    fn geig_terminal_rung_reports_a_zero_spectrum() {
+        let _s = serial();
+        fp::arm_always("solver/geig", fp::FailAction::Error);
+        fp::arm_always("solver/dense-geig", fp::FailAction::Error);
+        let g = ring(20);
+        let report = CirStag::new(cfg(FailurePolicy::BestEffort))
+            .analyze(&g, None, &circle_embedding(20))
+            .unwrap();
+        assert!(report.degraded);
+        assert_eq!(
+            rungs_for(&report, "phase3/geig"),
+            vec!["retry", "dense", "degraded"]
+        );
+        assert!(report.eigenvalues.iter().all(|&z| z == 0.0));
+        assert!(report.node_scores.iter().all(|&s| s == 0.0));
+        assert!(
+            report
+                .diagnostics
+                .warnings
+                .iter()
+                .any(|w| w.contains("zero spectrum")),
+            "warnings: {:?}",
+            report.diagnostics.warnings
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! Two fixed generator designs (60 and 150 gates) run under the CLI
 //! `analyze` configuration (`embedding_dim 16`, `num_eigenpairs 25`,
-//! `knn_k 10`, one worker thread), each once per failure policy: Strict
-//! solves `L_Y` through the fail-fast tree-preconditioned CG
-//! (`LaplacianSolver::with_tree_preconditioner`), BestEffort through the
-//! escalating tree → dense ladder (`LaplacianSolver::with_ladder`).
+//! `knn_k 10`, one worker thread), each once per failure policy. Both
+//! policies solve `L_Y` through the same fail-fast tree-preconditioned CG
+//! (`LaplacianSolver::with_tree_preconditioner`), and no fallback rung fires
+//! on these designs, so each design pins one digest for both policies.
 //! A fixed synthetic embedding stands in for the trained GNN, so nothing
 //! trains in a debug test and the digest depends on the analysis alone.
 //!
