@@ -61,6 +61,12 @@ echo "==> golden report digests in release (audits compiled out)"
 # digests are checked on both.
 cargo test --release -q --test report_digest
 
+echo "==> golden report digests in release with --features validate (audits compiled in)"
+# The audits are cfg(any(feature = "validate", debug_assertions)), and every
+# other step builds either with debug assertions or without the feature, so
+# this is the one step that compiles the configuration the feature exists for.
+cargo test --release -q --features validate --test report_digest
+
 echo "==> benchmark package (perfbench builds against the public API and passes its tests)"
 # perfbench is a package of its own outside the workspace, so neither the
 # clippy run nor the workspace tests above compile it; without this step a

@@ -229,8 +229,7 @@ USAGE:
                 [--cache-dir DIR]                   health, stats, shutdown);
                 [--port-file PATH]                  sheds load past the queue
                                                     bound, respawns panicked
-                                                    workers, degrades to
-                                                    best-effort under overload
+                                                    workers
   cirstag load <netlist> --addr HOST:PORT           drive a daemon and report
                 [--requests N] [--clients N]        the answer mix and latency
                 [--epochs N] [--deadline-ms MS]     percentiles; --shutdown

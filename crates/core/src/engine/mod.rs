@@ -6,8 +6,8 @@
 //! function through one executor method, which polls cancellation, keys the
 //! stage, and then either replays it from the cache or computes it and
 //! stores its artifact with the diagnostics segment it emitted. The driver
-//! keeps the *phase-level* semantics: stall failpoints, wall-clock timing
-//! and budget enforcement.
+//! keeps the *phase-level* semantics: stall failpoints and wall-clock
+//! timing.
 //!
 //! Caching works per stage: a stage's key fingerprints its inputs
 //! (Merkle-chained artifact fingerprints) plus only the config fields it
@@ -16,8 +16,6 @@
 //! `phase3/geig` and `phase3/dmd` keys — Phase-1/2 artifacts replay from
 //! cache bit-identically. `num_threads` is excluded everywhere (results
 //! are thread-count-independent), so warm hits also cross thread counts.
-//! Budgets are enforced against the *actual* wall clock of each run and
-//! are never cached.
 
 pub mod cache;
 pub mod eco;
@@ -177,45 +175,8 @@ impl Executor<'_> {
     }
 }
 
-/// Enforces the per-stage wall-clock budget: a typed error under
-/// [`FailurePolicy::Strict`], a recorded degradation under
-/// [`FailurePolicy::BestEffort`]. Budgets meter the *actual* run and are
-/// never part of a cache key or a replayed segment.
-fn enforce_budget(
-    stage: &'static str,
-    elapsed: Duration,
-    cfg: &CirStagConfig,
-    diag: &mut RunDiagnostics,
-) -> Result<(), CirStagError> {
-    let Some(budget_ms) = cfg.stage_budget.wall_clock_ms else {
-        return Ok(());
-    };
-    let elapsed_ms = millis_u64(elapsed);
-    if elapsed_ms <= budget_ms {
-        return Ok(());
-    }
-    if cfg.policy == FailurePolicy::BestEffort {
-        diag.events.push(crate::FallbackEvent {
-            stage: stage.to_string(),
-            rung: "budget".to_string(),
-            cause: format!(
-                "stage exceeded its wall-clock budget ({elapsed_ms}ms spent, {budget_ms}ms allowed)"
-            ),
-            residual: None,
-            elapsed_ms,
-        });
-        Ok(())
-    } else {
-        Err(CirStagError::BudgetExhausted {
-            stage,
-            elapsed_ms,
-            budget_ms,
-        })
-    }
-}
-
 /// Runs Algorithm 1: validation, seed mixing, the five stages under their
-/// phases' stall failpoints and budgets, and report assembly.
+/// phases' stall failpoints, and report assembly.
 ///
 /// This is the single implementation behind [`crate::CirStag::analyze`]
 /// (`cache = None`), [`crate::CirStag::analyze_cached`], and
@@ -296,7 +257,6 @@ pub(crate) fn run_pipeline(
     )?;
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let phase1 = t0.elapsed();
-    enforce_budget("phase1", phase1, cfg, &mut diag)?;
 
     // ---- Phase 2: graph-based manifolds via PGMs ---------------------
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
@@ -321,7 +281,6 @@ pub(crate) fn run_pipeline(
     )?;
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let phase2 = t1.elapsed();
-    enforce_budget("phase2", phase2, cfg, &mut diag)?;
 
     // ---- Phase 3: DMD stability scores -------------------------------
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
@@ -343,7 +302,6 @@ pub(crate) fn run_pipeline(
     )?;
     // cirstag-lint: allow(nondeterminism) -- phase wall-clock diagnostics only; excluded from fingerprints and artifacts
     let phase3 = t2.elapsed();
-    enforce_budget("phase3", phase3, cfg, &mut diag)?;
 
     diag.cache = exec.records;
     let degraded = !diag.events.is_empty();

@@ -20,16 +20,6 @@ pub enum CirStagError {
         /// Description of the violated requirement.
         reason: String,
     },
-    /// A pipeline stage exceeded its wall-clock budget
-    /// (see [`crate::StageBudget`]).
-    BudgetExhausted {
-        /// Stage that ran over budget (e.g. `"phase2"`).
-        stage: &'static str,
-        /// Milliseconds actually spent in the stage.
-        elapsed_ms: u64,
-        /// The configured budget in milliseconds.
-        budget_ms: u64,
-    },
     /// A pipeline stage produced NaN or infinite values.
     NonFiniteStage {
         /// Stage whose output failed the finiteness guardrail
@@ -62,14 +52,6 @@ impl fmt::Display for CirStagError {
             CirStagError::Graph(e) => write!(f, "graph error: {e}"),
             CirStagError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CirStagError::InvalidArgument { reason } => write!(f, "invalid argument: {reason}"),
-            CirStagError::BudgetExhausted {
-                stage,
-                elapsed_ms,
-                budget_ms,
-            } => write!(
-                f,
-                "stage {stage} exhausted its wall-clock budget: {elapsed_ms}ms spent, {budget_ms}ms allowed"
-            ),
             CirStagError::Cancelled { stage } => {
                 write!(f, "analysis cancelled at stage boundary {stage}")
             }

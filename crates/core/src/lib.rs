@@ -65,8 +65,7 @@ pub use error::CirStagError;
 pub use export::ReportExport;
 pub use pipeline::{CirStag, CirStagConfig, PhaseTimings, StabilityReport};
 pub use resilience::{
-    ApproxKnnRecord, CancelToken, FailurePolicy, FallbackEvent, RunDiagnostics, StageBudget,
-    StageCacheRecord,
+    ApproxKnnRecord, CancelToken, FailurePolicy, FallbackEvent, RunDiagnostics, StageCacheRecord,
 };
 pub use selection::{bottom_fraction, rank_descending, top_fraction};
 

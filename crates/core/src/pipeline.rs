@@ -7,7 +7,7 @@
 //! [`crate::analyze_partitioned`] lives in [`crate::engine::eco`]).
 
 use crate::engine::{self, ArtifactCache};
-use crate::{CancelToken, CirStagError, FailurePolicy, RunDiagnostics, StageBudget};
+use crate::{CancelToken, CirStagError, FailurePolicy, RunDiagnostics};
 use cirstag_embed::{KnnConfig, SpectralConfig};
 use cirstag_graph::Graph;
 use cirstag_linalg::DenseMatrix;
@@ -62,8 +62,6 @@ pub struct CirStagConfig {
     /// the default and historical behavior) or climb the fallback ladders and
     /// finish degraded ([`FailurePolicy::BestEffort`]).
     pub policy: FailurePolicy,
-    /// Per-phase wall-clock budget.
-    pub stage_budget: StageBudget,
 }
 
 impl Default for CirStagConfig {
@@ -83,7 +81,6 @@ impl Default for CirStagConfig {
             seed: 0,
             num_threads: 0,
             policy: FailurePolicy::Strict,
-            stage_budget: StageBudget::default(),
         }
     }
 }

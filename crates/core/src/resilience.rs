@@ -1,4 +1,4 @@
-//! Failure policies, stage budgets, and run diagnostics for the pipeline.
+//! Failure policies, cancellation, and run diagnostics for the pipeline.
 //!
 //! The pipeline wraps every phase in a *fallback ladder*: when a numerical
 //! stage fails, progressively more robust (and more expensive) strategies are
@@ -42,8 +42,7 @@ pub enum FailurePolicy {
 ///
 /// Cancellation granularity is the stage: a stage that has already started
 /// runs to completion (the numeric kernels are not interruptible), so the
-/// latency of a cancel is bounded by the longest single stage, which is in
-/// turn bounded by [`StageBudget::wall_clock_ms`] when set.
+/// latency of a cancel is bounded by the longest single stage.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<CancelInner>,
@@ -67,7 +66,7 @@ impl CancelToken {
         CancelToken {
             inner: Arc::new(CancelInner {
                 cancelled: AtomicBool::new(false),
-                // cirstag-lint: allow(nondeterminism) -- deadline bookkeeping for budgets/cancel; never flows into result data
+                // cirstag-lint: allow(nondeterminism) -- deadline bookkeeping for cancel; never flows into result data
                 deadline: Instant::now().checked_add(deadline),
             }),
         }
@@ -81,35 +80,10 @@ impl CancelToken {
     /// `true` once [`CancelToken::cancel`] has been called or the deadline
     /// has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Acquire) || self.deadline_exceeded()
+        self.inner.cancelled.load(Ordering::Acquire)
+            // cirstag-lint: allow(nondeterminism) -- deadline bookkeeping for cancel; never flows into result data
+            || self.inner.deadline.is_some_and(|d| Instant::now() >= d)
     }
-
-    /// `true` when the token carries a deadline and it has elapsed —
-    /// distinguishes a timeout from an explicit cancel.
-    pub fn deadline_exceeded(&self) -> bool {
-        // cirstag-lint: allow(nondeterminism) -- deadline bookkeeping for budgets/cancel; never flows into result data
-        self.inner.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Time left until the deadline (`None` when the token has no deadline;
-    /// zero once it has passed).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.inner
-            .deadline
-            // cirstag-lint: allow(nondeterminism) -- deadline bookkeeping for budgets/cancel; never flows into result data
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-}
-
-/// Per-stage resource budgets.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageBudget {
-    /// Wall-clock budget per pipeline phase, in milliseconds. `None` (the
-    /// default) disables the check. Exceeding the budget is a
-    /// [`crate::CirStagError::BudgetExhausted`] under
-    /// [`FailurePolicy::Strict`] and a recorded degradation under
-    /// [`FailurePolicy::BestEffort`].
-    pub wall_clock_ms: Option<u64>,
 }
 
 /// One fallback-ladder escalation recorded during an analysis.
@@ -296,32 +270,24 @@ mod tests {
     fn cancel_token_fires_on_cancel_and_deadline() {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
-        assert!(t.remaining().is_none());
         let clone = t.clone();
         t.cancel();
         assert!(clone.is_cancelled());
-        assert!(
-            !clone.deadline_exceeded(),
-            "explicit cancel is not a timeout"
-        );
 
         let d = CancelToken::with_deadline(Duration::from_millis(0));
         assert!(d.is_cancelled());
-        assert!(d.deadline_exceeded());
         let far = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(!far.is_cancelled());
-        assert!(far.remaining().is_some_and(|r| r > Duration::from_secs(1)));
+        far.cancel();
+        assert!(
+            far.is_cancelled(),
+            "an explicit cancel beats a far deadline"
+        );
     }
 
     #[test]
     fn policy_defaults_to_strict() {
         assert_eq!(FailurePolicy::default(), FailurePolicy::Strict);
-    }
-
-    #[test]
-    fn budget_defaults_are_open() {
-        let b = StageBudget::default();
-        assert_eq!(b.wall_clock_ms, None);
     }
 
     #[test]

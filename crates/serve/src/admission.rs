@@ -1,26 +1,22 @@
-//! Bounded admission queue, overload hysteresis, and daemon counters.
+//! Bounded admission queue and daemon counters.
 //!
-//! Robustness posture (DESIGN.md §5f): availability is protected by three
-//! independent valves. The **admission queue** sheds load outright once its
-//! bound is hit (a typed `503` beats an unbounded queue collapsing under
-//! memory pressure). Below the shed point, the **overload gate** watches
-//! queue depth with hysteresis and forces the BestEffort failure policy on
-//! admitted work while the backlog is deep — trading precision for
-//! throughput, per the degrade-don't-die design of the fallback ladders.
-//! And every interaction is counted in [`ServerStats`] so `stats` can tell
-//! an operator which valve is active.
+//! Robustness posture (DESIGN.md §5f): the **admission queue** is the one
+//! response to overload. It sheds load outright once its bound is hit (a
+//! typed `503` beats an unbounded queue collapsing under memory pressure),
+//! and admitted work runs on the failure policy it asked for. Every
+//! interaction is counted in [`ServerStats`] so `stats` can tell an
+//! operator how requests ended.
 
 use serde::Value;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Outcome of [`AdmissionQueue::try_push`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum Admit {
-    /// Admitted; carries the queue depth *after* the push (for the
-    /// overload gate).
-    Queued(usize),
+    /// Admitted.
+    Queued,
     /// Rejected: the queue is at capacity.
     Shed,
     /// Rejected: the daemon is shutting down.
@@ -71,10 +67,9 @@ impl<T> AdmissionQueue<T> {
             return Admit::Shed;
         }
         s.items.push_back(item);
-        let depth = s.items.len();
         drop(s);
         self.available.notify_one();
-        Admit::Queued(depth)
+        Admit::Queued
     }
 
     /// Blocks until an item is available and pops it; `None` once the queue
@@ -113,59 +108,6 @@ impl<T> AdmissionQueue<T> {
     }
 }
 
-/// Hysteresis gate driving the automatic Strict→BestEffort downgrade.
-///
-/// The gate engages when queue depth reaches `high` and disengages only
-/// once depth falls back to `low` — the dead band keeps the policy from
-/// flapping at the threshold. While engaged, admitted requests run
-/// BestEffort regardless of what they asked for.
-pub struct OverloadGate {
-    high: usize,
-    low: usize,
-    engaged: AtomicBool,
-    engagements: AtomicU64,
-}
-
-impl OverloadGate {
-    /// A gate engaging at depth `high` and releasing at depth `low`
-    /// (clamped so `low < high`).
-    pub fn new(high: usize, low: usize) -> Self {
-        let high = high.max(1);
-        OverloadGate {
-            high,
-            low: low.min(high - 1),
-            engaged: AtomicBool::new(false),
-            engagements: AtomicU64::new(0),
-        }
-    }
-
-    /// Feeds a fresh queue-depth observation; returns the (possibly
-    /// updated) engaged state.
-    pub fn observe(&self, depth: usize) -> bool {
-        if depth >= self.high {
-            if !self.engaged.swap(true, Ordering::AcqRel) {
-                self.engagements.fetch_add(1, Ordering::Relaxed);
-            }
-            true
-        } else if depth <= self.low {
-            self.engaged.store(false, Ordering::Release);
-            false
-        } else {
-            self.engaged.load(Ordering::Acquire)
-        }
-    }
-
-    /// `true` while the downgrade is in force.
-    pub fn engaged(&self) -> bool {
-        self.engaged.load(Ordering::Acquire)
-    }
-
-    /// How many times the gate has engaged since startup.
-    pub fn engagements(&self) -> u64 {
-        self.engagements.load(Ordering::Relaxed)
-    }
-}
-
 /// Monotonic daemon counters, exposed by the `stats` verb.
 #[derive(Default)]
 pub struct ServerStats {
@@ -185,15 +127,13 @@ pub struct ServerStats {
     pub panics: AtomicU64,
     /// Workers respawned after a panic.
     pub respawns: AtomicU64,
-    /// Requests that ran BestEffort because the overload gate forced it.
-    pub forced_downgrades: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
 }
 
 impl ServerStats {
     /// Snapshot as a JSON object for the `stats` verb.
-    pub fn to_value(&self, queue_depth: usize, gate: &OverloadGate) -> Value {
+    pub fn to_value(&self, queue_depth: usize) -> Value {
         let read = |c: &AtomicU64| Value::UInt(c.load(Ordering::Relaxed));
         Value::Object(vec![
             ("received".to_string(), read(&self.received)),
@@ -204,19 +144,10 @@ impl ServerStats {
             ("failed".to_string(), read(&self.failed)),
             ("panics".to_string(), read(&self.panics)),
             ("respawns".to_string(), read(&self.respawns)),
-            (
-                "forced_downgrades".to_string(),
-                read(&self.forced_downgrades),
-            ),
             ("connections".to_string(), read(&self.connections)),
             (
                 "queue_depth".to_string(),
                 Value::UInt(u64::try_from(queue_depth).unwrap_or(u64::MAX)),
-            ),
-            ("overloaded".to_string(), Value::Bool(gate.engaged())),
-            (
-                "overload_engagements".to_string(),
-                Value::UInt(gate.engagements()),
             ),
         ])
     }
@@ -235,8 +166,8 @@ mod tests {
     #[test]
     fn queue_sheds_past_capacity_and_drains_after_close() {
         let q = AdmissionQueue::new(2);
-        assert_eq!(q.try_push(1), Admit::Queued(1));
-        assert_eq!(q.try_push(2), Admit::Queued(2));
+        assert_eq!(q.try_push(1), Admit::Queued);
+        assert_eq!(q.try_push(2), Admit::Queued);
         assert_eq!(q.try_push(3), Admit::Shed);
         q.close();
         assert_eq!(q.try_push(4), Admit::Closed);
@@ -251,41 +182,22 @@ mod tests {
         let q2 = Arc::clone(&q);
         let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.try_push(9), Admit::Queued(1));
+        assert_eq!(q.try_push(9), Admit::Queued);
         assert_eq!(h.join().unwrap(), Some(9));
     }
 
     #[test]
-    fn gate_hysteresis_has_dead_band() {
-        let g = OverloadGate::new(8, 2);
-        assert!(!g.observe(5), "below high: stays off");
-        assert!(g.observe(8), "reaches high: engages");
-        assert!(g.observe(5), "in the dead band: stays on");
-        assert!(g.observe(3), "still above low: stays on");
-        assert!(!g.observe(2), "reaches low: releases");
-        assert!(!g.observe(5), "dead band again, now off");
-        assert_eq!(g.engagements(), 1);
-        assert!(g.observe(20));
-        assert_eq!(g.engagements(), 2);
-    }
-
-    #[test]
-    fn degenerate_gate_thresholds_are_clamped() {
-        let g = OverloadGate::new(1, 5);
-        assert!(g.observe(1));
-        assert!(!g.observe(0));
-    }
-
-    #[test]
-    fn stats_snapshot_carries_gate_state() {
+    fn stats_snapshot_carries_counters_and_depth() {
         let s = ServerStats::default();
         ServerStats::bump(&s.completed);
-        let g = OverloadGate::new(4, 1);
-        g.observe(4);
-        let v = s.to_value(3, &g);
+        ServerStats::bump(&s.shed);
+        ServerStats::bump(&s.shed);
+        let v = s.to_value(3);
         let completed: u64 = v.field("completed").unwrap();
         assert_eq!(completed, 1);
-        let overloaded: bool = v.field("overloaded").unwrap();
-        assert!(overloaded);
+        let shed: u64 = v.field("shed").unwrap();
+        assert_eq!(shed, 2);
+        let depth: u64 = v.field("queue_depth").unwrap();
+        assert_eq!(depth, 3);
     }
 }

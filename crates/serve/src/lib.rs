@@ -6,15 +6,14 @@
 //!
 //! * **Bounded admission** — a fixed-capacity queue sheds excess load with
 //!   a typed `503` instead of queueing without bound ([`AdmissionQueue`]).
-//! * **Deadlines** — per-request wall-clock deadlines become a
-//!   [`cirstag::CancelToken`] plus a stage-budget cap, so expiry cancels
-//!   cleanly at the next stage boundary (`504`).
+//!   It is the daemon's one response to overload: admitted work runs on the
+//!   failure policy it asked for.
+//! * **Deadlines** — a per-request wall-clock deadline becomes a
+//!   [`cirstag::CancelToken`], the request's only time limit, so expiry
+//!   cancels cleanly at the next stage boundary (`504`).
 //! * **Panic isolation** — each worker runs jobs under `catch_unwind`; a
 //!   panic yields a structured `500` for that request, the worker is
 //!   respawned by its supervisor, and the process stays up.
-//! * **Graceful degradation** — sustained backlog engages a hysteresis
-//!   gate ([`OverloadGate`]) that forces the BestEffort failure policy
-//!   until the queue drains.
 //! * **Shared caching** — all tenants share one crash-safe
 //!   [`cirstag::ArtifactCache`] (single-flight per fingerprint) and one
 //!   [`DesignStore`] memoizing netlist → trained-GNN preparation.
@@ -32,7 +31,7 @@ pub mod load;
 pub mod protocol;
 mod server;
 
-pub use admission::{AdmissionQueue, Admit, OverloadGate, ServerStats};
+pub use admission::{AdmissionQueue, Admit, ServerStats};
 pub use design::{analysis_config, train_timing_gnn, DesignStore, PreparedDesign, TrainedGnn};
 pub use error::ServeError;
 pub use load::{run_load, shutdown_daemon, LoadConfig, LoadReport};

@@ -103,7 +103,7 @@ pub struct Request {
     /// Fraction of nodes reported as most unstable.
     pub top: f64,
     /// Per-request failure-policy override; `None` uses the daemon's base
-    /// policy. The overload gate can still force best-effort on top.
+    /// policy.
     pub best_effort: Option<bool>,
     /// Netlist-delta ops document (`cirstag-delta/v1` JSON, required for
     /// `delta`), applied against the base `netlist`.

@@ -22,13 +22,13 @@
 //!   on disk) and one [`DesignStore`], so identical netlists across
 //!   tenants train and analyze once.
 //!
-//! Deadlines: a request's `deadline_ms` becomes a [`CancelToken`] that is
-//! (a) checked before work starts, (b) polled by the engine at every stage
-//! boundary, and (c) mapped onto [`cirstag::StageBudget::wall_clock_ms`] so
-//! a single long-running stage is also bounded. Expiry anywhere surfaces as
-//! a typed `504`.
+//! Deadlines: a request's `deadline_ms` becomes a [`CancelToken`], the
+//! request's only time limit. It is checked before design preparation and
+//! polled by the engine before each of its five stages, so an expired
+//! request stops at the next stage boundary under either failure policy and
+//! answers a typed `504`.
 
-use crate::admission::{AdmissionQueue, Admit, OverloadGate, ServerStats};
+use crate::admission::{AdmissionQueue, Admit, ServerStats};
 use crate::design::{analysis_config, DesignStore, PreparedDesign};
 use crate::protocol::{
     write_line, Request, Response, Verb, CODE_BAD_REQUEST, CODE_DEADLINE, CODE_INTERNAL, CODE_SHED,
@@ -56,9 +56,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads executing queued analyses.
     pub workers: usize,
-    /// Admission-queue bound; depth beyond this sheds with `503`. The
-    /// overload gate forces BestEffort at three quarters of this depth and
-    /// releases the downgrade at one quarter.
+    /// Admission-queue bound; depth beyond this sheds with `503`.
     pub queue_capacity: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: Option<u64>,
@@ -99,7 +97,6 @@ struct Job {
 /// State shared by the accept loop, readers, and workers.
 struct Shared {
     queue: AdmissionQueue<Job>,
-    gate: OverloadGate,
     stats: ServerStats,
     cache: ArtifactCache,
     designs: DesignStore,
@@ -162,10 +159,6 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(config.queue_capacity),
-            gate: OverloadGate::new(
-                (config.queue_capacity * 3 / 4).max(1),
-                config.queue_capacity / 4,
-            ),
             stats: ServerStats::default(),
             cache,
             designs: DesignStore::new(DESIGN_CAPACITY),
@@ -391,7 +384,7 @@ fn dispatch(shared: &Arc<Shared>, req: Request, tx: &mpsc::Sender<Response>) {
             ServerStats::bump(&shared.stats.completed);
         }
         Verb::Stats => {
-            let body = shared.stats.to_value(shared.queue.depth(), &shared.gate);
+            let body = shared.stats.to_value(shared.queue.depth());
             drop(tx.send(Response::ok(id, body)));
             ServerStats::bump(&shared.stats.completed);
         }
@@ -417,9 +410,7 @@ fn dispatch(shared: &Arc<Shared>, req: Request, tx: &mpsc::Sender<Response>) {
                 enqueued: Instant::now(),
             };
             match shared.queue.try_push(job) {
-                Admit::Queued(depth) => {
-                    shared.gate.observe(depth);
-                }
+                Admit::Queued => {}
                 Admit::Shed => {
                     ServerStats::bump(&shared.stats.shed);
                     drop(tx.send(Response::error(
@@ -453,7 +444,6 @@ fn health_body(shared: &Shared) -> Value {
             "queue_depth".to_string(),
             Value::UInt(u64::try_from(shared.queue.depth()).unwrap_or(u64::MAX)),
         ),
-        ("overloaded".to_string(), Value::Bool(shared.gate.engaged())),
         (
             "designs".to_string(),
             Value::UInt(u64::try_from(shared.designs.len()).unwrap_or(u64::MAX)),
@@ -491,12 +481,10 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
         Ok(d) => d,
         Err(e) => return Response::error(req.id, CODE_BAD_REQUEST, e.to_string()),
     };
-    let forced = shared.gate.engaged();
-    if forced {
-        ServerStats::bump(&shared.stats.forced_downgrades);
-    }
-    let best_effort = forced || req.best_effort.unwrap_or(shared.base_best_effort);
-    let config = request_config(&design, best_effort, &job.cancel);
+    let best_effort = req.best_effort.unwrap_or(shared.base_best_effort);
+    // One thread per analysis: the rayon pool is process-global, and
+    // concurrent workers must not fight over it.
+    let config = analysis_config(design.graph.num_nodes(), 1, best_effort);
     // cirstag-lint: allow(nondeterminism) -- request timing/deadline bookkeeping; responses carry it as diagnostics only
     let started = Instant::now();
     match req.verb {
@@ -543,7 +531,6 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
                     ),
                     ("results".to_string(), Value::Array(results)),
                     ("policy".to_string(), policy_value(best_effort)),
-                    ("forced_best_effort".to_string(), Value::Bool(forced)),
                     ("queue_wait_ms".to_string(), Value::UInt(millis(queue_wait))),
                     (
                         "elapsed_ms".to_string(),
@@ -559,7 +546,6 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
             &design,
             config,
             best_effort,
-            forced,
             queue_wait,
             started,
             &job.cancel,
@@ -575,15 +561,7 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
             match report {
                 Ok(r) => Response::ok(
                     req.id,
-                    analyze_body(
-                        &design,
-                        &r,
-                        req.top,
-                        best_effort,
-                        forced,
-                        queue_wait,
-                        started,
-                    ),
+                    analyze_body(&design, &r, req.top, best_effort, queue_wait, started),
                 ),
                 Err(e) => pipeline_error(req.id, &e),
             }
@@ -607,7 +585,6 @@ fn handle_delta(
     design: &PreparedDesign,
     config: CirStagConfig,
     best_effort: bool,
-    forced: bool,
     queue_wait: Duration,
     started: Instant,
     cancel: &CancelToken,
@@ -662,31 +639,12 @@ fn handle_delta(
                 &outcome.touched_partitions,
                 req.top,
                 best_effort,
-                forced,
                 queue_wait,
                 started,
             ),
         ),
         Err(e) => pipeline_error(req.id, &e),
     }
-}
-
-/// The per-request pipeline configuration: the CLI's sizing defaults with
-/// `num_threads = 1` (the rayon pool is process-global; concurrent workers
-/// must not fight over it) and the remaining deadline mapped onto the
-/// per-stage wall-clock budget.
-fn request_config(
-    design: &PreparedDesign,
-    best_effort: bool,
-    cancel: &CancelToken,
-) -> CirStagConfig {
-    let mut config = analysis_config(design.graph.num_nodes(), 1, best_effort);
-    if let Some(remaining) = cancel.remaining() {
-        // Each stage is individually bounded by what is left of the
-        // request's deadline; the token still cancels between stages.
-        config.stage_budget.wall_clock_ms = Some(millis(remaining).max(1));
-    }
-    config
 }
 
 /// `"strict"`/`"best-effort"` for response bodies.
@@ -697,9 +655,7 @@ fn policy_value(best_effort: bool) -> Value {
 /// Maps a pipeline error onto a wire response.
 fn pipeline_error(id: u64, e: &CirStagError) -> Response {
     match e {
-        CirStagError::Cancelled { .. } | CirStagError::BudgetExhausted { .. } => {
-            Response::error(id, CODE_DEADLINE, e.to_string())
-        }
+        CirStagError::Cancelled { .. } => Response::error(id, CODE_DEADLINE, e.to_string()),
         CirStagError::InvalidArgument { .. } => {
             Response::error(id, CODE_BAD_REQUEST, e.to_string())
         }
@@ -707,18 +663,12 @@ fn pipeline_error(id: u64, e: &CirStagError) -> Response {
     }
 }
 
-/// The `analyze` payload: ranking head plus run metadata.
-fn analyze_body(
-    design: &PreparedDesign,
-    report: &StabilityReport,
-    top: f64,
-    best_effort: bool,
-    forced: bool,
-    queue_wait: Duration,
-    started: Instant,
-) -> Value {
-    let unstable = cirstag::top_fraction(&report.node_scores, top, None);
-    let head: Vec<Value> = unstable
+/// The ranking head shared by the `analyze` and `delta` payloads: the
+/// number of nodes in the `top` fraction, and the first 20 of them with
+/// their scores.
+fn top_head(node_scores: &[f64], top: f64) -> (Value, Value) {
+    let unstable = cirstag::top_fraction(node_scores, top, None);
+    let head = unstable
         .iter()
         .take(20)
         .map(|&i| {
@@ -729,11 +679,27 @@ fn analyze_body(
                 ),
                 (
                     "score".to_string(),
-                    Value::Float(report.node_scores.get(i).copied().unwrap_or(0.0)),
+                    Value::Float(node_scores.get(i).copied().unwrap_or(0.0)),
                 ),
             ])
         })
         .collect();
+    (
+        Value::UInt(u64::try_from(unstable.len()).unwrap_or(u64::MAX)),
+        Value::Array(head),
+    )
+}
+
+/// The `analyze` payload: ranking head plus run metadata.
+fn analyze_body(
+    design: &PreparedDesign,
+    report: &StabilityReport,
+    top: f64,
+    best_effort: bool,
+    queue_wait: Duration,
+    started: Instant,
+) -> Value {
+    let (unstable_count, head) = top_head(&report.node_scores, top);
     let mut fields = vec![
         ("design".to_string(), Value::Str(design.name.clone())),
         (
@@ -742,16 +708,12 @@ fn analyze_body(
         ),
         ("degraded".to_string(), Value::Bool(report.degraded)),
         ("policy".to_string(), policy_value(best_effort)),
-        ("forced_best_effort".to_string(), Value::Bool(forced)),
         (
             "zeta1".to_string(),
             Value::Float(report.eigenvalues.first().copied().unwrap_or(0.0)),
         ),
-        (
-            "unstable_count".to_string(),
-            Value::UInt(u64::try_from(unstable.len()).unwrap_or(u64::MAX)),
-        ),
-        ("top".to_string(), Value::Array(head)),
+        ("unstable_count".to_string(), unstable_count),
+        ("top".to_string(), head),
         (
             "cache_hits".to_string(),
             Value::UInt(u64::try_from(report.timings.cache_hits).unwrap_or(u64::MAX)),
@@ -779,34 +741,16 @@ fn analyze_body(
 
 /// The `delta` payload: ranking head plus the per-partition recompute
 /// breakdown (which regions were invalidated, which replayed from cache).
-#[allow(clippy::too_many_arguments)]
 fn delta_body(
     design: &PreparedDesign,
     report: &PartitionedReport,
     touched_partitions: &[usize],
     top: f64,
     best_effort: bool,
-    forced: bool,
     queue_wait: Duration,
     started: Instant,
 ) -> Value {
-    let unstable = cirstag::top_fraction(&report.node_scores, top, None);
-    let head: Vec<Value> = unstable
-        .iter()
-        .take(20)
-        .map(|&i| {
-            Value::Object(vec![
-                (
-                    "node".to_string(),
-                    Value::UInt(u64::try_from(i).unwrap_or(u64::MAX)),
-                ),
-                (
-                    "score".to_string(),
-                    Value::Float(report.node_scores.get(i).copied().unwrap_or(0.0)),
-                ),
-            ])
-        })
-        .collect();
+    let (unstable_count, head) = top_head(&report.node_scores, top);
     let as_uint_array = |ids: &[u64]| Value::Array(ids.iter().map(|&i| Value::UInt(i)).collect());
     let touched: Vec<u64> = touched_partitions
         .iter()
@@ -843,12 +787,8 @@ fn delta_body(
         ),
         ("degraded".to_string(), Value::Bool(report.degraded)),
         ("policy".to_string(), policy_value(best_effort)),
-        ("forced_best_effort".to_string(), Value::Bool(forced)),
-        (
-            "unstable_count".to_string(),
-            Value::UInt(u64::try_from(unstable.len()).unwrap_or(u64::MAX)),
-        ),
-        ("top".to_string(), Value::Array(head)),
+        ("unstable_count".to_string(), unstable_count),
+        ("top".to_string(), head),
         ("queue_wait_ms".to_string(), Value::UInt(millis(queue_wait))),
         (
             "elapsed_ms".to_string(),
@@ -928,6 +868,73 @@ mod tests {
         .unwrap();
         assert!(report.fully_answered(), "{}", report.summary());
         assert_eq!(report.timeouts, 3, "{}", report.summary());
+        drop(daemon.join().unwrap());
+    }
+
+    /// A backlog (one worker, four closed-loop clients, a queue of four)
+    /// leaves every request on the policy it asked for, so warm requests
+    /// keep replaying their cache entries instead of recomputing under
+    /// another policy's keys.
+    #[test]
+    fn backlog_keeps_each_request_on_its_policy_and_cache_entries() {
+        let (addr, daemon) = spawn_daemon(ServeConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..Default::default()
+        });
+        let netlist = tiny_netlist();
+        let analyze = |id: u64| {
+            Request {
+                id,
+                verb: Verb::Analyze,
+                netlist: Some(netlist.clone()),
+                epochs: 6,
+                dmd_s: vec![4, 8],
+                deadline_ms: None,
+                top: 0.10,
+                best_effort: None,
+                delta: None,
+                partitions: None,
+            }
+            .to_line()
+            .unwrap()
+        };
+        // One connection sending `ids` in a closed loop: each request waits
+        // for the previous reply.
+        let client = |ids: std::ops::Range<u64>| -> Vec<Response> {
+            let stream = TcpStream::connect(&addr).unwrap();
+            let mut writer = BufWriter::new(stream.try_clone().unwrap());
+            let mut reader = BufReader::new(stream);
+            ids.map(|id| {
+                write_line(&mut writer, analyze(id)).unwrap();
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                Response::parse(reply.trim_end()).unwrap()
+            })
+            .collect()
+        };
+        let warm = client(0..1);
+        assert_eq!(warm[0].code, crate::CODE_OK, "{:?}", warm[0].error);
+        let client = &client;
+        let responses: Vec<Response> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..4u64)
+                .map(|c| scope.spawn(move || client(1 + 10 * c..11 + 10 * c)))
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(responses.len(), 40);
+        for r in &responses {
+            assert_eq!(r.code, crate::CODE_OK, "request {}: {:?}", r.id, r.error);
+            let body = r.body.as_ref().unwrap();
+            let policy: String = body.field("policy").unwrap();
+            assert_eq!(policy, "strict", "request {}: {body:?}", r.id);
+            let misses: u64 = body.field("cache_misses").unwrap();
+            assert_eq!(misses, 0, "request {}: {body:?}", r.id);
+        }
+        crate::load::shutdown_daemon(&addr).unwrap();
         drop(daemon.join().unwrap());
     }
 

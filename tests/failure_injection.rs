@@ -263,7 +263,7 @@ mod failpoints {
     use super::*;
     use cirstag_suite::core::failpoint as fp;
     use cirstag_suite::core::{
-        ArtifactCache, CancelToken, FailurePolicy, ReportExport, StabilityReport, StageBudget,
+        ArtifactCache, CancelToken, FailurePolicy, ReportExport, StabilityReport,
     };
     use std::sync::{mpsc, Arc, MutexGuard};
     use std::time::Duration;
@@ -627,42 +627,32 @@ mod failpoints {
         assert_finite(&report);
     }
 
-    // ---- Stage budgets ---------------------------------------------------
+    // ---- Deadline inside Phase 3 -----------------------------------------
 
+    /// A deadline that expires inside `phase3/geig` stops the run at the
+    /// `phase3/dmd` boundary with `Cancelled`, under either policy.
     #[test]
-    fn stage_budget_exhaustion_both_policies() {
+    fn deadline_inside_phase3_cancels_both_policies() {
         let _s = serial();
         let g = ring(16);
         let emb = circle_embedding(16);
-        let with_budget = |policy| CirStagConfig {
-            stage_budget: StageBudget {
-                wall_clock_ms: Some(150),
-            },
-            ..cfg(policy)
-        };
-        fp::arm("phase2/stall", fp::FailAction::StallMs(600), 1);
-        let err = CirStag::new(with_budget(FailurePolicy::Strict))
-            .analyze(&g, None, &emb)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CirStagError::BudgetExhausted {
-                    stage: "phase2",
-                    ..
-                }
-            ),
-            "got {err:?}"
-        );
-
-        fp::reset();
-        fp::arm("phase2/stall", fp::FailAction::StallMs(600), 1);
-        let report = CirStag::new(with_budget(FailurePolicy::BestEffort))
-            .analyze(&g, None, &emb)
-            .unwrap();
-        assert!(report.degraded);
-        assert_eq!(rungs_for(&report, "phase2"), vec!["budget"]);
-        assert_finite(&report);
+        for policy in [FailurePolicy::Strict, FailurePolicy::BestEffort] {
+            fp::reset();
+            fp::arm("solver/geig", fp::FailAction::StallMs(600), 1);
+            let deadline = CancelToken::with_deadline(Duration::from_millis(150));
+            let err = CirStag::new(cfg(policy))
+                .analyze_cached(&g, None, &emb, &ArtifactCache::new(), Some(&deadline))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CirStagError::Cancelled {
+                        stage: "phase3/dmd"
+                    }
+                ),
+                "{policy:?}: got {err:?}"
+            );
+        }
     }
 
     // ---- Full injection (acceptance) -------------------------------------
