@@ -15,9 +15,6 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy (serial: --no-default-features)"
-cargo clippy --workspace --no-default-features -- -D warnings
-
 echo "==> cargo clippy (failpoints, all targets)"
 cargo clippy --workspace --features failpoints --all-targets -- -D warnings
 
@@ -36,36 +33,20 @@ if ! cmp -s "$CI_TMP/LINT_REPORT.json" LINT_REPORT.json; then
     exit 1
 fi
 
-echo "==> release build (default features: parallel)"
+echo "==> release build"
 cargo build --release
-
-echo "==> release build (serial: --no-default-features)"
-cargo build --release --no-default-features
-
-echo "==> golden report digests on the serial stack"
-# The serial fallback must give the same bits as the parallel stack, so the
-# serial build answers to the same pinned digests.
-cargo test --release --no-default-features -q --test report_digest
 
 echo "==> test suite (every workspace member: unit tests, crates/*/tests, root tests)"
 cargo test -q --workspace
 
-echo "==> test suite (validate + failpoints: engine audits and fault injection)"
-# Also re-runs the HNSW recall-vs-exact parity and determinism suite
-# (tests/knn_hnsw.rs) with the engine's self-audits enabled.
-cargo test -q --features validate,failpoints
+echo "==> test suite (failpoints: fault injection)"
+cargo test -q --features failpoints
 
-echo "==> golden report digests in release (audits compiled out)"
-# Debug builds compile the engine's invariant audits in; the release build
-# that the CLI, serve and perfbench run compiles them out, so the pinned
-# digests are checked on both.
+echo "==> golden report digests in release"
+# The test suite above checks the pinned digests in a debug build; the
+# release build that the CLI, serve and perfbench run answers to the same
+# digests, invariant audits included.
 cargo test --release -q --test report_digest
-
-echo "==> golden report digests in release with --features validate (audits compiled in)"
-# The audits are cfg(any(feature = "validate", debug_assertions)), and every
-# other step builds either with debug assertions or without the feature, so
-# this is the one step that compiles the configuration the feature exists for.
-cargo test --release -q --features validate --test report_digest
 
 echo "==> benchmark package (perfbench builds against the public API and passes its tests)"
 # perfbench is a package of its own outside the workspace, so neither the
@@ -74,9 +55,6 @@ echo "==> benchmark package (perfbench builds against the public API and passes 
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> serve smoke test (daemon + 50-request load, zero dropped connections)"
-# The serial build above left a --no-default-features CLI binary behind;
-# rebuild it with default features.
-cargo build --release -p cirstag-cli
 SMOKE_DIR="$CI_TMP/smoke"
 mkdir -p "$SMOKE_DIR"
 ./target/release/cirstag generate --gates 40 --seed 7 "$SMOKE_DIR/smoke.cir"

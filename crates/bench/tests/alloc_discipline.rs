@@ -4,11 +4,13 @@
 //! A counting `#[global_allocator]` wraps the system allocator; each probe
 //! warms a solver's scratch pool, snapshots the allocation counter, re-runs
 //! the same solve into preallocated outputs, and asserts the counter did not
-//! move. The whole check lives in one `#[test]` because the counter and the
-//! worker-thread setting are process-global.
+//! move. The counter is per thread, so allocations on the test harness's
+//! other threads never reach it, and the pool is pinned to one thread so
+//! every kernel iteration runs on the measuring thread. The whole check lives
+//! in one `#[test]` because the worker-thread setting is process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use cirstag_embed::{HnswIndex, HnswParams};
 use cirstag_graph::Graph;
@@ -20,11 +22,22 @@ use cirstag_solver::{
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialised and drop-free, so
+    /// reading it from inside the allocator never allocates or registers a
+    /// destructor.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are being torn down,
+    // long after any measurement on that thread.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -33,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn grid(side: usize) -> Graph {
@@ -124,8 +138,11 @@ fn assert_warm_block_cg_is_allocation_free<M: Preconditioner>(
 #[test]
 fn warm_solver_iterations_are_allocation_free() {
     // Serial execution: thread-pool dispatch owns its own queue allocations,
-    // which are pool plumbing rather than kernel work.
+    // which are pool plumbing rather than kernel work. With one thread the
+    // pool runs every region inline, so the per-thread counter sees all of
+    // the kernels' allocations.
     par::set_num_threads(1);
+    assert_eq!(par::current_num_threads(), 1);
 
     let g = grid(12);
     let n = g.num_nodes();

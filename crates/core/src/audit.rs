@@ -1,8 +1,8 @@
-//! Phase-boundary invariant audits (the `validate` feature).
+//! Phase-boundary invariant audits.
 //!
 //! Each pipeline phase hands a structured object to the next one: Phase 1
 //! produces the spectral embedding `U`, Phase 2 the manifold graphs
-//! `G_X`/`G_Y`, Phase 3 consumes their Laplacians. The audits in this module
+//! `G_X`/`G_Y`, Phase 3 consumes their Laplacians. The phase-boundary audits
 //! re-check, at those hand-off points, the invariants the downstream math
 //! assumes but never re-verifies on its hot paths:
 //!
@@ -12,10 +12,10 @@
 //!   symmetric, and positive semidefinite (spot-checked);
 //! - the embedding matrix is finite and row-matched to the graph.
 //!
-//! Callers gate audit invocation behind
-//! `#[cfg(any(feature = "validate", debug_assertions))]`, so every debug /
-//! `cargo test` build runs them while release builds compile them out
-//! entirely unless `validate` is requested. Enforcement follows the
+//! The Laplacian check lives in [`cirstag_linalg::audit`], next to the CSR
+//! type it inspects; this module holds the graph and embedding checks and the
+//! policy enforcement. The engine's stages run every audit in every build,
+//! debug and release alike. Enforcement follows the
 //! [`crate::FailurePolicy`] of the run: `Strict` turns violations into
 //! [`crate::CirStagError::InvariantViolation`], `BestEffort` records an
 //! `invariant-audit` [`crate::FallbackEvent`] plus a warning and lets the
@@ -23,7 +23,7 @@
 
 use crate::{CirStagError, FailurePolicy, FallbackEvent, RunDiagnostics};
 use cirstag_graph::Graph;
-use cirstag_linalg::{audit as linalg_audit, CsrMatrix, DenseMatrix};
+use cirstag_linalg::DenseMatrix;
 
 /// Audits one manifold graph: every edge weight finite and positive,
 /// endpoints in bounds and distinct. Returns all violations found.
@@ -58,12 +58,6 @@ pub fn manifold_violations(g: &Graph, context: &str) -> Vec<String> {
         }
     }
     out
-}
-
-/// Audits a phase-boundary Laplacian: CSR well-formedness, symmetry, and a
-/// PSD spot check (see [`cirstag_linalg::audit::laplacian_violations`]).
-pub fn laplacian_violations(l: &CsrMatrix, context: &str) -> Vec<String> {
-    linalg_audit::laplacian_violations(l, context)
 }
 
 /// Audits the Phase-1 embedding hand-off: finite entries, rows matching the
@@ -126,7 +120,8 @@ pub fn enforce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cirstag_linalg::CooMatrix;
+    use cirstag_linalg::audit::laplacian_violations;
+    use cirstag_linalg::{CooMatrix, CsrMatrix};
 
     fn corrupt_laplacian() -> CsrMatrix {
         // A structurally valid PSD Laplacian, then NaN-corrupted — the same

@@ -123,9 +123,6 @@ impl Executor<'_> {
         fp.write_str(name);
         // Run-wide knob that changes which code path produced an artifact.
         fp.write_bool(self.policy == FailurePolicy::BestEffort);
-        // Audits fire only in validate/debug builds and leave events in the
-        // captured segment, so the build flavor is part of the key.
-        fp.write_bool(cfg!(any(feature = "validate", debug_assertions)));
         for f in inputs {
             fp.write_fingerprint(*f);
         }

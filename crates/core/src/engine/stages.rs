@@ -10,7 +10,6 @@
 //! entry. Guard and audit events timestamp relative to `phase_start`, the
 //! start of the enclosing phase.
 
-#[cfg(any(feature = "validate", debug_assertions))]
 use crate::audit;
 use crate::engine::cache::ScoreSet;
 use crate::engine::fingerprint::Fingerprinter;
@@ -23,6 +22,7 @@ use cirstag_embed::{
     EmbedError, KnnConfig, KnnMethod, KnnStats, SpectralConfig,
 };
 use cirstag_graph::Graph;
+use cirstag_linalg::audit::laplacian_violations;
 use cirstag_linalg::{fail, par, DenseMatrix};
 use cirstag_pgm::{learn_manifold, random_prune, PgmConfig};
 use cirstag_solver::{
@@ -199,9 +199,8 @@ pub(crate) fn embedding(
             return Err(CirStagError::NonFiniteStage { stage: "phase1" });
         }
     }
-    // Invariant audit (validate feature / debug builds): the embedding
-    // hand-off must be finite and row-matched to the circuit graph.
-    #[cfg(any(feature = "validate", debug_assertions))]
+    // Invariant audit: the embedding hand-off must be finite and
+    // row-matched to the circuit graph.
     if let Some(u) = &input_data {
         audit::enforce(
             "phase1/audit",
@@ -251,24 +250,19 @@ pub(crate) fn output_manifold(
     // Invariant audit: both manifolds must carry finite positive weights
     // before their Laplacians seed the Phase-3 eigenproblem (Eq. 8 treats
     // the weights as conductances).
-    #[cfg(any(feature = "validate", debug_assertions))]
-    {
-        let mut violations = audit::manifold_violations(input_manifold, "input manifold");
-        violations.extend(audit::manifold_violations(
-            &output_manifold,
-            "output manifold",
-        ));
-        audit::enforce(
-            "phase2/audit",
-            violations,
-            cfg.policy,
-            diag,
-            // cirstag-lint: allow(nondeterminism) -- stage wall-clock diagnostics only; excluded from fingerprints and artifacts
-            millis_u64(phase_start.elapsed()),
-        )?;
-    }
-    #[cfg(not(any(feature = "validate", debug_assertions)))]
-    let _ = (input_manifold, phase_start);
+    let mut violations = audit::manifold_violations(input_manifold, "input manifold");
+    violations.extend(audit::manifold_violations(
+        &output_manifold,
+        "output manifold",
+    ));
+    audit::enforce(
+        "phase2/audit",
+        violations,
+        cfg.policy,
+        diag,
+        // cirstag-lint: allow(nondeterminism) -- stage wall-clock diagnostics only; excluded from fingerprints and artifacts
+        millis_u64(phase_start.elapsed()),
+    )?;
     Ok(output_manifold)
 }
 
@@ -336,24 +330,16 @@ pub(crate) fn geig(
     let lx = input_manifold.laplacian();
     // Invariant audit: Eq. 5 requires L = Σ w_pq e_pq e_pqᵀ — well-formed
     // CSR, symmetric, and PSD (spot-checked with deterministic probes).
-    #[cfg(any(feature = "validate", debug_assertions))]
-    {
-        let mut violations = audit::laplacian_violations(&lx, "L_X");
-        violations.extend(audit::laplacian_violations(
-            &output_manifold.laplacian(),
-            "L_Y",
-        ));
-        audit::enforce(
-            "phase3/audit",
-            violations,
-            cfg.policy,
-            diag,
-            // cirstag-lint: allow(nondeterminism) -- stage wall-clock diagnostics only; excluded from fingerprints and artifacts
-            millis_u64(phase_start.elapsed()),
-        )?;
-    }
-    #[cfg(not(any(feature = "validate", debug_assertions)))]
-    let _ = phase_start;
+    let mut violations = laplacian_violations(&lx, "L_X");
+    violations.extend(laplacian_violations(&output_manifold.laplacian(), "L_Y"));
+    audit::enforce(
+        "phase3/audit",
+        violations,
+        cfg.policy,
+        diag,
+        // cirstag-lint: allow(nondeterminism) -- stage wall-clock diagnostics only; excluded from fingerprints and artifacts
+        millis_u64(phase_start.elapsed()),
+    )?;
     // Ranking-grade solver options: manifold Laplacians mix weights
     // spanning ~1/ε, so the default 1e-10 tolerance is unnecessarily
     // strict for eigen-subspace estimation and can fail to converge.

@@ -32,9 +32,9 @@ pub enum CirStagError {
         /// Stage at whose boundary the cancellation was observed.
         stage: &'static str,
     },
-    /// A phase-boundary invariant audit failed (the `validate` feature):
-    /// malformed CSR storage, an asymmetric or indefinite Laplacian, or
-    /// non-finite manifold edge weights.
+    /// A phase-boundary invariant audit (`crate::audit`, run in every
+    /// build) failed: malformed CSR storage, an asymmetric or indefinite
+    /// Laplacian, or non-finite manifold edge weights.
     InvariantViolation {
         /// Phase boundary where the audit fired (e.g. `"phase2/audit"`).
         stage: &'static str,

@@ -94,8 +94,8 @@ pub struct PhaseTimings {
     pub phase2: Duration,
     /// Phase 3: generalized eigenproblem + scores.
     pub phase3: Duration,
-    /// Worker-thread count the analysis ran with (`1` = serial build or
-    /// serial configuration).
+    /// Worker-thread count the analysis ran with (`1` = every parallel region
+    /// ran inline on the calling thread).
     pub threads: usize,
     /// Stages replayed from the artifact cache (`0` for uncached runs).
     pub cache_hits: usize,

@@ -1,13 +1,12 @@
-//! Runtime invariant audits backing the workspace `validate` feature.
+//! Runtime invariant audits for the pipeline's phase boundaries.
 //!
-//! These checks are deliberately *spot checks*: cheap enough to run at phase
-//! boundaries in debug and `validate` builds (a handful of sparse
+//! These checks are deliberately *spot checks*: cheap enough to run at every
+//! phase boundary of every build, release included (a handful of sparse
 //! matrix–vector products), strong enough to catch the corruption classes
 //! the paper's math cannot survive — asymmetric or indefinite Laplacians
 //! (Eq. 5 requires `L = Σ w_pq e_pq e_pqᵀ ⪰ 0`), malformed CSR storage, and
-//! non-finite weights. The helpers compile unconditionally; *callers* gate
-//! them behind `#[cfg(any(feature = "validate", debug_assertions))]` so
-//! release builds pay nothing.
+//! non-finite weights. The Phase-3 stage of `cirstag` calls
+//! [`laplacian_violations`] on both pencil Laplacians before its eigensolve.
 
 use crate::CsrMatrix;
 

@@ -1,41 +1,33 @@
 //! Workspace-wide parallel execution helpers.
 //!
 //! This module is the single seam between the CirSTAG crates and the
-//! underlying thread pool. It exists in every build: with the `parallel`
-//! feature (the default) the helpers fan work out across a persistent rayon
-//! pool; without it they run the same code serially. Call sites are written
-//! once against this API and are oblivious to the feature state.
+//! underlying thread pool: it is the only file in the workspace that names
+//! `rayon` (the vendored pool under `vendor/rayon`), and `cirstag-lint`'s
+//! `feature-hygiene` rule holds it to that. The helpers fan work out across a
+//! persistent pool; with one thread configured (`--threads 1`,
+//! `CirStagConfig::num_threads: 1`) the pool runs every region inline on the
+//! calling thread.
 //!
 //! # Determinism contract
 //!
 //! Every helper assigns work item `i` a fixed output slot `i` and performs no
 //! cross-item reductions, so results are **bit-identical** for any thread
-//! count, including the serial build. Callers must uphold the same rule: a
-//! closure passed here must depend only on its index (and shared read-only
-//! state), never on execution order.
+//! count, one included. Callers must uphold the same rule: a closure passed
+//! here must depend only on its index (and shared read-only state), never on
+//! execution order.
 
 /// Sets the worker-thread count for all subsequent parallel sections.
 ///
 /// `0` means "use all available cores". Values above the core count are
 /// honoured (oversubscription), which keeps multi-thread determinism tests
-/// meaningful on small machines. In serial builds this is a no-op.
+/// meaningful on small machines.
 pub fn set_num_threads(n: usize) {
-    #[cfg(feature = "parallel")]
     rayon::set_num_threads(n);
-    #[cfg(not(feature = "parallel"))]
-    let _ = n;
 }
 
-/// Number of threads parallel sections will use (`1` in serial builds).
+/// Number of threads parallel sections will use.
 pub fn current_num_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::current_num_threads()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    rayon::current_num_threads()
 }
 
 /// Computes `f(i)` for every `i in 0..n`, returning results in index order.
@@ -44,14 +36,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::par_map_indexed(n, f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        (0..n).map(f).collect()
-    }
+    rayon::par_map_indexed(n, f)
 }
 
 /// Fallible variant of [`map_indexed`]: returns all results in index order,
@@ -67,14 +52,7 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::par_map_indexed(n, f).into_iter().collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        (0..n).map(f).collect()
-    }
+    rayon::par_map_indexed(n, f).into_iter().collect()
 }
 
 /// Calls `f(chunk_index, chunk)` on consecutive `chunk_len`-sized pieces of
@@ -90,16 +68,7 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be non-zero"); // cirstag-lint: allow(error-hygiene) -- documented panic contract; every call site passes a nonzero constant chunk length
-    #[cfg(feature = "parallel")]
-    {
-        rayon::par_chunks_mut(data, chunk_len, f);
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-    }
+    rayon::par_chunks_mut(data, chunk_len, f);
 }
 
 #[cfg(test)]

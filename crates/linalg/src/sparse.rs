@@ -641,8 +641,8 @@ impl CsrMatrix {
     /// within each row (sorted, no duplicates), and all stored values are
     /// finite.
     ///
-    /// This is the audit entry point of the `validate` feature cascade — the
-    /// kernels themselves never re-check these invariants on hot paths.
+    /// This is the audit entry point of [`crate::audit`] — the kernels
+    /// themselves never re-check these invariants on hot paths.
     ///
     /// # Errors
     ///

@@ -3,9 +3,9 @@
 //! The repo's correctness story leans on invariants ordinary `clippy`
 //! cannot see: library crates must stay panic-free so the fallback ladders
 //! (PR 2) can catch every failure as a typed error; numeric crates must be
-//! bit-deterministic so η-score rankings reproduce (PR 1); `rayon` and
-//! failpoints must stay behind their cargo features so the
-//! `--no-default-features` build is genuinely serial. This crate enforces
+//! bit-deterministic so η-score rankings reproduce (PR 1); `rayon` must stay
+//! inside the `par` determinism seam and failpoint arming behind the
+//! `failpoints` feature. This crate enforces
 //! those rules with a self-contained lexical analyzer — no `syn`, no network,
 //! no external deps beyond the vendored `serde` stand-ins.
 //!

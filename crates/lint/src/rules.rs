@@ -7,7 +7,7 @@
 //! |------|--------|
 //! | `no-panic-in-lib` | library code stays panic-free (typed errors only) |
 //! | `float-discipline` | no `==`/`!=` on floats, no bare NaN literals |
-//! | `feature-hygiene` | `rayon`/failpoint arming stays behind its feature |
+//! | `feature-hygiene` | `rayon` stays in the `par` seam; failpoint arming stays behind its feature |
 //! | `determinism` | no order-dependent containers / ambient entropy in result-affecting crates |
 //! | `error-hygiene` | public unit-returning fns must not panic on bad input |
 //! | `cast-truncation` | no lossy `as` numeric casts in result-affecting crates |
@@ -40,7 +40,8 @@ pub const RULE_NAMES: &[&str] = &[
 pub const NO_PANIC: &str = "no-panic-in-lib";
 /// Rule id: float comparison / NaN literal discipline.
 pub const FLOAT_DISCIPLINE: &str = "float-discipline";
-/// Rule id: feature-gate hygiene for `parallel` / `failpoints`.
+/// Rule id: `rayon` confined to the `par` seam, failpoint arming confined to
+/// the `failpoints` feature.
 pub const FEATURE_HYGIENE: &str = "feature-hygiene";
 /// Rule id: deterministic iteration and seeding in result-affecting crates.
 pub const DETERMINISM: &str = "determinism";
@@ -104,8 +105,8 @@ pub fn run_all(file: &SourceFile, ctx: &WorkspaceCtx, out: &mut Vec<Finding>) {
         float_discipline(file, out);
         error_hygiene(file, ctx, out);
     }
-    // Feature hygiene also applies to bin sources: a binary unconditionally
-    // touching rayon would break the `--no-default-features` serial build.
+    // Feature hygiene also applies to bin sources: a binary calling rayon
+    // directly would bypass the `par` determinism seam.
     feature_hygiene(file, out);
     // Unsafe code needs its rationale everywhere, binaries included.
     unsafe_safety(file, out);
@@ -244,38 +245,28 @@ fn float_discipline(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// `feature-hygiene`: every `rayon` use must sit in a
-/// `#[cfg(feature = "parallel")]` region with a serial fallback present in
-/// the same file; failpoint *arming* must sit behind `failpoints`.
+/// The one file that may name `rayon`: the `par` determinism seam, whose
+/// helpers give every work item a fixed output slot.
+const PAR_SEAM: &str = "crates/linalg/src/par.rs";
+
+/// `feature-hygiene`: `rayon` is named only in [`PAR_SEAM`], and failpoint
+/// *arming* must sit behind `failpoints`.
 fn feature_hygiene(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &file.tokens;
-    let mut gated_rayon = false;
-    let mut first_gated_line = 0usize;
     for (i, tok) in toks.iter().enumerate() {
         if file.in_test_region(i) {
             continue;
         }
-        if tok.is_ident("rayon") {
-            let cfgs = file.cfgs_at(i);
-            let parallel_gated = cfgs.iter().any(|a| {
-                let squeezed: String = a.chars().filter(|c| !c.is_whitespace()).collect();
-                squeezed.contains("feature=\"parallel\"") && !squeezed.contains("not(feature")
-            });
-            if parallel_gated {
-                gated_rayon = true;
-                if first_gated_line == 0 {
-                    first_gated_line = tok.line;
-                }
-            } else {
-                out.push(finding(
-                    file,
-                    FEATURE_HYGIENE,
-                    tok.line,
-                    "`rayon` outside a `#[cfg(feature = \"parallel\")]` region breaks the \
-                     `--no-default-features` serial build"
-                        .to_string(),
-                ));
-            }
+        if tok.is_ident("rayon") && file.rel_path != PAR_SEAM {
+            out.push(finding(
+                file,
+                FEATURE_HYGIENE,
+                tok.line,
+                format!(
+                    "`rayon` outside `{PAR_SEAM}` bypasses the determinism seam; \
+                     call `cirstag_linalg::par` instead"
+                ),
+            ));
         }
         // Arming failpoints from library code would make production paths
         // injectable; the registry only exists behind the feature.
@@ -302,22 +293,6 @@ fn feature_hygiene(file: &SourceFile, out: &mut Vec<Finding>) {
                         .to_string(),
                 ));
             }
-        }
-    }
-    if gated_rayon {
-        let has_serial_fallback = file.cfg_regions.iter().any(|r| {
-            let squeezed: String = r.attr.chars().filter(|c| !c.is_whitespace()).collect();
-            squeezed.contains("not(feature=\"parallel\")")
-        });
-        if !has_serial_fallback {
-            out.push(finding(
-                file,
-                FEATURE_HYGIENE,
-                first_gated_line,
-                "file gates work behind `parallel` but has no \
-                 `#[cfg(not(feature = \"parallel\"))]` serial fallback"
-                    .to_string(),
-            ));
         }
     }
 }
@@ -1082,22 +1057,25 @@ mod tests {
     #[test]
     fn ungated_rayon_fires() {
         let hits = lint_lib("pub fn go() { rayon::scope(|| {}); }");
-        assert_eq!(hits.iter().filter(|h| h.rule == FEATURE_HYGIENE).count(), 1);
+        let hits: Vec<_> = hits.iter().filter(|h| h.rule == FEATURE_HYGIENE).collect();
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains(PAR_SEAM), "{hits:?}");
     }
 
     #[test]
-    fn gated_rayon_with_fallback_is_clean() {
-        let src = "pub fn go() {\n    #[cfg(feature = \"parallel\")]\n    {\n        rayon::scope(|| {});\n    }\n    #[cfg(not(feature = \"parallel\"))]\n    {\n        serial();\n    }\n}\n";
-        let hits = lint_lib(src);
+    fn rayon_in_par_seam_is_clean() {
+        let f = SourceFile::from_source(PAR_SEAM, "pub fn go() { rayon::scope(|| {}); }\n");
+        let mut hits = Vec::new();
+        run_all(&f, &WorkspaceCtx::default(), &mut hits);
         assert!(hits.iter().all(|h| h.rule != FEATURE_HYGIENE), "{hits:?}");
     }
 
     #[test]
-    fn gated_rayon_without_fallback_fires() {
-        let src = "pub fn go() {\n    #[cfg(feature = \"parallel\")]\n    {\n        rayon::scope(|| {});\n    }\n}\n";
+    fn cfg_gated_rayon_outside_par_seam_fires() {
+        // A cfg gate and a serial fallback do not exempt a second seam.
+        let src = "pub fn go() {\n    #[cfg(feature = \"threads\")]\n    {\n        rayon::scope(|| {});\n    }\n    #[cfg(not(feature = \"threads\"))]\n    {\n        serial();\n    }\n}\n";
         let hits = lint_lib(src);
         assert_eq!(hits.iter().filter(|h| h.rule == FEATURE_HYGIENE).count(), 1);
-        assert!(hits[0].message.contains("serial fallback"));
     }
 
     #[test]

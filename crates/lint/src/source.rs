@@ -38,7 +38,7 @@ pub struct Region {
 #[derive(Debug, Clone)]
 pub struct CfgRegion {
     /// Raw text of the governing attribute, e.g.
-    /// `#[cfg(feature = "parallel")]`.
+    /// `#[cfg(feature = "failpoints")]`.
     pub attr: String,
     /// Token span the attribute governs.
     pub span: Region,

@@ -1,15 +1,16 @@
-// Fixture: correctly gated rayon with a serial fallback — the seam idiom
-// the `feature-hygiene` rule enforces.
+// Fixture: the two idioms the `feature-hygiene` rule enforces — parallel
+// work goes through the `par` seam (only `crates/linalg/src/par.rs` names
+// `rayon`), and failpoint arming sits behind the `failpoints` feature.
 
-/// Doubles and sums, fanning out across the rayon pool.
-#[cfg(feature = "parallel")]
-pub fn map_sum(xs: &[f64]) -> f64 {
-    use rayon::prelude::*;
-    xs.par_iter().map(|x| x * 2.0).sum()
+use cirstag_linalg::par;
+
+/// Doubles every element, fanning out across the workspace pool.
+pub fn doubled(xs: &[f64]) -> Vec<f64> {
+    par::map_indexed(xs.len(), |i| xs.get(i).map_or(0.0, |x| x * 2.0))
 }
 
-/// Doubles and sums serially.
-#[cfg(not(feature = "parallel"))]
-pub fn map_sum(xs: &[f64]) -> f64 {
-    xs.iter().map(|x| x * 2.0).sum()
+/// Makes the next CG solve fail, for resilience tests.
+#[cfg(feature = "failpoints")]
+pub fn arm_cg_failure() {
+    fail::arm("solver/cg", fail::FailAction::Error, 1);
 }

@@ -95,7 +95,8 @@ pub struct Request {
     pub netlist: Option<String>,
     /// GNN training epochs for design preparation.
     pub epochs: usize,
-    /// DMD subspace sizes for `sweep`.
+    /// DMD subspace sizes for `sweep` (non-empty, every value positive);
+    /// other verbs ignore it.
     pub dmd_s: Vec<usize>,
     /// Wall-clock deadline for the whole request, in milliseconds. `None`
     /// falls back to the daemon's default deadline.
@@ -142,7 +143,8 @@ impl Request {
         let dmd_s: Vec<usize> = v
             .field_or("dmd_s", vec![4, 8])
             .map_err(|e| ServeError::bad_request(e.reason))?;
-        if dmd_s.is_empty() || dmd_s.contains(&0) {
+        // Only `sweep` reads `dmd_s`; other verbs may send any list.
+        if verb == Verb::Sweep && (dmd_s.is_empty() || dmd_s.contains(&0)) {
             return Err(ServeError::bad_request(
                 "dmd_s values must be positive integers",
             ));
@@ -368,6 +370,14 @@ mod tests {
         assert!(!line.contains('\n'), "netlist newlines must stay escaped");
         let back = Request::parse(&line).unwrap();
         assert_eq!(back, r);
+
+        // `analyze` never reads `dmd_s`, so an empty list must not be a 400.
+        let no_sweep = Request {
+            dmd_s: Vec::new(),
+            ..r
+        };
+        let back = Request::parse(&no_sweep.to_line().unwrap()).unwrap();
+        assert_eq!(back, no_sweep);
     }
 
     #[test]
@@ -424,9 +434,14 @@ mod tests {
         assert!(
             Request::parse(r#"{"id": 1, "verb": "analyze", "netlist": "x", "top": 7}"#).is_err()
         );
-        assert!(
-            Request::parse(r#"{"id": 1, "verb": "sweep", "netlist": "x", "dmd_s": [0]}"#).is_err()
-        );
+        for dmd_s in ["[]", "[0]", "[4, 0]"] {
+            let line = format!(r#"{{"id": 1, "verb": "sweep", "netlist": "x", "dmd_s": {dmd_s}}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(
+                matches!(err, ServeError::BadRequest { .. }),
+                "sweep with dmd_s {dmd_s}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -482,7 +482,7 @@ fn handle_job(shared: &Shared, job: &Job) -> Response {
         Err(e) => return Response::error(req.id, CODE_BAD_REQUEST, e.to_string()),
     };
     let best_effort = req.best_effort.unwrap_or(shared.base_best_effort);
-    // One thread per analysis: the rayon pool is process-global, and
+    // One thread per analysis: the thread pool is process-global, and
     // concurrent workers must not fight over it.
     let config = analysis_config(design.graph.num_nodes(), 1, best_effort);
     // cirstag-lint: allow(nondeterminism) -- request timing/deadline bookkeeping; responses carry it as diagnostics only
